@@ -23,6 +23,12 @@ minimiser; any root whose minimum is below ``1`` yields a violated set.
 Singletons always have ``f = 1``, so violated sets have ``|S| >= 2``
 automatically.
 
+Two certificates cut the probes without changing the reported sets (proofs
+in ``docs/algorithms.md`` §3): a root whose probe shows ``f >= 1 - tol`` on
+every set containing it is pinned to the sink for later probes, and probing
+stops once peeling nodes of x-degree ``<= 1 + tol/(4n)`` from the unpinned
+support leaves at most one node.
+
 The paper invokes exactly this machinery via Theorem 1 (ellipsoid +
 separation oracle); in practice cutting planes over HiGHS converge in a few
 rounds on these instance sizes.
@@ -30,7 +36,7 @@ rounds on these instance sizes.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -88,11 +94,15 @@ def find_violated_subtours(
     # Fractional degrees x(delta(v)) over the support.
     degree = np.zeros(n)
     support: List[Tuple[int, int, float]] = []
+    neighbours: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):
         if x[i] > 0.0:
             degree[u] += x[i]
             degree[v] += x[i]
-            support.append((u, v, float(x[i])))
+            val = float(x[i])
+            support.append((u, v, val))
+            neighbours[u].append((v, val))
+            neighbours[v].append((u, val))
 
     node_weight = 1.0 - degree / 2.0  # a_v
     offset_base = float(np.sum(np.minimum(node_weight, 0.0)))
@@ -101,7 +111,7 @@ def find_violated_subtours(
     source, sink = n, n + 1
     # One shared network: per root only the source->root arc changes.
     # The s->v arcs for negative node weights stay; roots get an extra
-    # switchable infinite arc.
+    # switchable infinite arc, and so do sink pins (see below).
     net = DinicMaxFlow(n + 2)
     for u, v, val in support:
         net.add_edge(u, v, val / 2.0, val / 2.0)
@@ -112,13 +122,20 @@ def find_violated_subtours(
         else:
             net.add_edge(source, v, -a_v)
     root_arcs = [net.add_edge(source, v, 0.0) for v in range(n)]
+    pin_arcs = [net.add_edge(v, sink, 0.0) for v in range(n)]
 
     # A root's probe only matters below this flow (f_min >= 1 otherwise),
     # so augmentation can stop early at the threshold.
     cutoff = 1.0 - tolerance - offset_base
+    # Peeling a node of degree <= 1 + slack raises f by at most the slack;
+    # n peels keep every skipped set's violation below tolerance / 4.
+    peel_limit = 1.0 + tolerance / (4 * n)
 
+    unpinned = set(range(n))
+    # With at most one survivor up front no set is violated: no probe at all.
+    roots = range(n) if _peel_survivors(unpinned, neighbours, peel_limit) >= 2 else ()
     probes = 0
-    for root in range(n):
+    for root in roots:
         probes += 1
         net.reset_flow()
         net.set_capacity(root_arcs[root], _BIG)
@@ -133,6 +150,13 @@ def find_violated_subtours(
                     found[subset] = violation
                     if len(found) >= max_sets:
                         break  # enough cuts for this round
+        else:
+            # Every set containing root has f >= 1 - tol: pin it to the
+            # sink, which leaves every later violated minimiser intact.
+            net.set_capacity(pin_arcs[root], _BIG)
+            unpinned.discard(root)
+            if _peel_survivors(unpinned, neighbours, peel_limit) < 2:
+                break  # no violated set avoids the pinned roots
 
     ranked = sorted(found.items(), key=lambda item: -item[1])
     result_sets = [subset for subset, _ in ranked[:max_sets]]
@@ -149,3 +173,26 @@ def find_violated_subtours(
                 worst_violation=ranked[0][1],
             )
     return result_sets
+
+
+def _peel_survivors(
+    nodes: Set[int], neighbours: List[List[Tuple[int, float]]], limit: float
+) -> int:
+    """Count the nodes left after repeatedly peeling low-degree ones.
+
+    A node is peeled while its x-degree towards the surviving *nodes* is at
+    most *limit*.  Removing such a node from any set raises ``f`` by at most
+    ``limit - 1``, so with at most one survivor every ``S ⊆ nodes`` with
+    ``|S| >= 2`` has ``f(S) >= 1 - (|S| - 1) * (limit - 1)``.
+    """
+    inner = {v: sum(val for w, val in neighbours[v] if w in nodes) for v in nodes}
+    stack = [v for v, d in inner.items() if d <= limit]
+    peeled = set(stack)
+    while stack:
+        for w, val in neighbours[stack.pop()]:
+            if w in inner and w not in peeled:
+                inner[w] -= val
+                if inner[w] <= limit:
+                    peeled.add(w)
+                    stack.append(w)
+    return len(inner) - len(peeled)

@@ -13,8 +13,8 @@ cross-validates it against :func:`networkx.maximum_flow` on random graphs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["DinicMaxFlow", "MaxFlowResult"]
@@ -31,12 +31,24 @@ class MaxFlowResult:
         source_side: Set of vertices reachable from the source in the final
             residual network; this is the source side of a minimum cut.
         flows: Mapping ``(u, v) -> flow`` for every directed arc that carries
-            positive flow.
+            positive flow, built on first read from the solve's snapshot of
+            arc heads and initial/residual capacities (``_arcs``).
     """
 
     flow_value: float
     source_side: Set[int]
-    flows: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    _arcs: Tuple[List[int], List[float], List[float]] = field(repr=False, compare=False)
+
+    @cached_property
+    def flows(self) -> Dict[Tuple[int, int], float]:
+        to, initial_cap, cap = self._arcs
+        flows: Dict[Tuple[int, int], float] = {}
+        for arc in range(len(cap)):
+            used = initial_cap[arc] - cap[arc]
+            if used > _EPS:
+                key = (to[arc ^ 1], to[arc])
+                flows[key] = flows.get(key, 0.0) + used
+        return flows
 
 
 class DinicMaxFlow:
@@ -107,36 +119,22 @@ class DinicMaxFlow:
         self._cap = list(self._initial_cap)
 
     def _bfs_levels(self, s: int, t: int) -> List[int]:
+        """Residual BFS levels from *s*, ``-1`` past the sink's level (all
+        reachable nodes are labelled when ``t == s``)."""
+        head, to, cap = self._head, self._to, self._cap
         level = [-1] * self.n
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for arc in self._head[u]:
-                v = self._to[arc]
-                if level[v] < 0 and self._cap[arc] > _EPS:
-                    level[v] = level[u] + 1
+        queue = [s]
+        for u in queue:  # a list grown while iterated: a FIFO queue
+            next_level = level[u] + 1
+            if 0 < level[t] < next_level:
+                break
+            for arc in head[u]:
+                v = to[arc]
+                if level[v] < 0 and cap[arc] > _EPS:
+                    level[v] = next_level
                     queue.append(v)
         return level
-
-    def _dfs_augment(
-        self, u: int, t: int, pushed: float, level: List[int], it: List[int]
-    ) -> float:
-        if u == t:
-            return pushed
-        while it[u] < len(self._head[u]):
-            arc = self._head[u][it[u]]
-            v = self._to[arc]
-            if self._cap[arc] > _EPS and level[v] == level[u] + 1:
-                found = self._dfs_augment(
-                    v, t, min(pushed, self._cap[arc]), level, it
-                )
-                if found > _EPS:
-                    self._cap[arc] -= found
-                    self._cap[arc ^ 1] += found
-                    return found
-            it[u] += 1
-        return 0.0
 
     def solve(
         self, source: int, sink: int, *, cutoff: Optional[float] = None
@@ -149,40 +147,58 @@ class DinicMaxFlow:
         work.  A cutoff-terminated result reports the flow found so far;
         its ``source_side`` is still the residual-reachable set, which is a
         valid minimum cut only when the run was not cut off.
+
+        Each phase walks the level graph with a stack of arcs (no recursion)
+        and retreats after an augmentation to its first saturated arc.
         """
         if source == sink:
             raise ValueError("source and sink must differ")
+        head, to, cap = self._head, self._to, self._cap
+        limit = float("inf") if cutoff is None else cutoff
         total = 0.0
-        while cutoff is None or total < cutoff:
+        reached: Optional[List[int]] = None
+        while total < limit:
             level = self._bfs_levels(source, sink)
             if level[sink] < 0:
+                reached = level  # a full BFS of the final residual network
                 break
             it = [0] * self.n
-            while cutoff is None or total < cutoff:
-                pushed = self._dfs_augment(source, sink, float("inf"), level, it)
-                if pushed <= _EPS:
-                    break
-                total += pushed
-        source_side = self._residual_reachable(source)
-        flows: Dict[Tuple[int, int], float] = {}
-        for u in range(self.n):
-            for arc in self._head[u]:
-                used = self._initial_cap[arc] - self._cap[arc]
-                if used > _EPS:
-                    flows[(u, self._to[arc])] = flows.get((u, self._to[arc]), 0.0) + used
-        return MaxFlowResult(flow_value=total, source_side=source_side, flows=flows)
-
-    def _residual_reachable(self, s: int) -> Set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for arc in self._head[u]:
-                v = self._to[arc]
-                if v not in seen and self._cap[arc] > _EPS:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+            path: List[int] = []  # arcs from the source to u
+            u = source
+            while True:
+                if u == sink:
+                    pushed = min([cap[arc] for arc in path])
+                    for arc in path:
+                        cap[arc] -= pushed
+                        cap[arc ^ 1] += pushed
+                    total += pushed
+                    if total >= limit:
+                        break
+                    del path[next(k for k, arc in enumerate(path) if cap[arc] <= _EPS):]
+                    u = to[path[-1]] if path else source
+                    continue
+                arcs = head[u]
+                next_level = level[u] + 1
+                for i in range(it[u], len(arcs)):
+                    arc = arcs[i]
+                    if cap[arc] > _EPS and level[to[arc]] == next_level:
+                        it[u] = i
+                        path.append(arc)
+                        u = to[arc]
+                        break
+                else:
+                    if not path:
+                        break  # the source is exhausted: blocking flow found
+                    # Dead end: drop u from the level graph, advance its parent.
+                    level[u] = -1
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+        if reached is None:
+            reached = self._bfs_levels(source, source)
+        source_side = {v for v, d in enumerate(reached) if d >= 0}
+        return MaxFlowResult(
+            total, source_side, (self._to, list(self._initial_cap), list(cap))
+        )
 
 
 def min_cut_value(

@@ -1,11 +1,18 @@
 """Tests for repro.core.separation (subtour oracle)."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.separation import find_violated_subtours, subtour_violation
+from repro.core.separation import (
+    DEFAULT_TOLERANCE,
+    find_violated_subtours,
+    subtour_violation,
+)
+from repro.obs import instrument
 
 
 def _triangle():
@@ -123,3 +130,122 @@ class TestFindViolatedSubtours:
             assert found, f"oracle missed a violation of {brute_violation}"
         if not found:
             assert brute_violation <= 1e-6
+
+
+def _reference_oracle(n, edges, x, *, tolerance=DEFAULT_TOLERANCE, max_sets=10):
+    """The oracle's contract by enumeration (n <= 9).
+
+    Per root in order: the minimal minimiser of ``f(S) = |S| - x(E(S))``
+    (support edges only) over the sets containing the root, reported when
+    ``f < 1 - tol``, ``|S| >= 2`` and its violation exceeds ``tol``; stop
+    at ``max_sets`` distinct sets, then rank by violation (stable).
+    """
+    support = [(u, v, float(x[i])) for i, (u, v) in enumerate(edges) if x[i] > 0.0]
+    subsets = [
+        frozenset(c) for k in range(1, n + 1) for c in combinations(range(n), k)
+    ]
+    f = {
+        s: len(s) - sum(val for u, v, val in support if u in s and v in s)
+        for s in subsets
+    }
+    found = {}
+    for root in range(n):
+        containing = [s for s in subsets if root in s]
+        best = min(f[s] for s in containing)
+        minimal = frozenset.intersection(
+            *[s for s in containing if f[s] <= best + 1e-9]
+        )
+        if best < 1.0 - tolerance and len(minimal) >= 2:
+            violation = subtour_violation(sorted(minimal), edges, x)
+            if violation > tolerance:
+                found[minimal] = violation
+                if len(found) >= max_sets:
+                    break
+    ranked = sorted(found.items(), key=lambda item: -item[1])
+    return [s for s, _ in ranked[:max_sets]]
+
+
+@st.composite
+def separation_inputs(draw):
+    """Random graphs with x > 1 edges, forest supports and x = 1 cycles."""
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["random", "forest", "cycle_pendants"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if kind == "random":
+        edges = [p for p in pairs if rng.random() < 0.6]
+        x = rng.uniform(0.0, 1.0, len(edges))
+        x[rng.random(len(edges)) < 0.15] = 1.0
+        x[rng.random(len(edges)) < 0.1] = 0.0
+        heavy = rng.random(len(edges)) < 0.15
+        x[heavy] = rng.uniform(1.0, 1.5, int(heavy.sum()))
+    elif kind == "forest":
+        tree = [(int(rng.integers(v)), v) for v in range(1, n) if rng.random() < 0.85]
+        # Zero-valued extra edges stay out of the support.
+        edges = tree + [p for p in pairs if p not in tree and rng.random() < 0.3]
+        x = np.zeros(len(edges))
+        x[: len(tree)] = rng.choice([1.0, 0.5, rng.uniform(0.0, 1.0)], len(tree))
+        if rng.random() < 0.3 and tree:
+            x[int(rng.integers(len(tree)))] = rng.uniform(1.0, 1.5)
+    else:
+        k = int(rng.integers(min(3, n), n + 1))
+        cycle = [(i, i + 1) for i in range(k - 1)] + ([(0, k - 1)] if k >= 3 else [])
+        pendants = [(int(rng.integers(v)), v) for v in range(k, n)]
+        extra = [
+            p for p in pairs
+            if p not in cycle and p not in pendants and rng.random() < 0.2
+        ]
+        edges = cycle + pendants + extra
+        x = np.concatenate([
+            np.ones(len(cycle)),
+            rng.choice([1.0, rng.uniform(0.0, 1.0)], len(pendants)),
+            rng.uniform(0.0, 0.3, len(extra)),
+        ])
+    max_sets = draw(st.sampled_from([2, 10]))
+    return n, edges, x, max_sets
+
+
+class TestExactSemantics:
+    @given(separation_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_oracle(self, case):
+        n, edges, x, max_sets = case
+        assert find_violated_subtours(n, edges, x, max_sets=max_sets) == (
+            _reference_oracle(n, edges, x, max_sets=max_sets)
+        )
+
+
+def _probes(n, edges, x):
+    with instrument() as session:
+        found = find_violated_subtours(n, edges, np.asarray(x, dtype=float))
+    return found, session.registry.counter_value("separation.root_probes")
+
+
+class TestRootProbes:
+    """``separation.root_probes`` counts the max-flow probes actually run."""
+
+    def test_forest_support_needs_no_probe(self):
+        n = 8
+        edges = [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (0, 7), (2, 4)]
+        x = [1.0, 0.5, 1.0, 0.25, 1.0, 0.75, 0.0]
+        assert _probes(n, edges, x) == ([], 0)
+
+    def test_unproductive_fractional_cycle_stops_early(self):
+        # A 6-cycle at x = 5/6 (f(V) = 1, tight but not violated) with a
+        # pendant path: the first probe pins node 0 and the rest peels away.
+        n = 9
+        edges = [(i, (i + 1) % 6) for i in range(6)] + [(2, 6), (6, 7), (7, 8)]
+        x = [5 / 6] * 6 + [1.0, 1.0, 1.0]
+        found, probes = _probes(n, edges, x)
+        assert found == []
+        assert 1 <= probes < n
+
+    def test_productive_point_matches_reference(self):
+        # Two unit triangles joined by a half edge, plus a fractional tail.
+        n = 8
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3), (5, 6), (6, 7)]
+        x = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.4, 0.9])
+        found, probes = _probes(n, edges, x)
+        assert found == _reference_oracle(n, edges, x)
+        assert found[0] == frozenset(range(6))  # f = 6 - 6.5
+        assert 1 <= probes <= n

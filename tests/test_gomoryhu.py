@@ -113,3 +113,17 @@ class TestAllPairsCorrectness:
             assert ours.min_cut_value(u, v) == pytest.approx(
                 expected, abs=1e-7
             ), (u, v)
+
+
+def test_long_chain_cut_tree():
+    # Vertex 1 sits at the far end of the chain, so Gusfield's first max
+    # flow (1 -> 0) augments along a path through every vertex.
+    n = 1200
+    order = [0] + list(range(2, n)) + [1]
+    caps = [2.0 + (i % 5) for i in range(n - 1)]
+    caps[700] = 1.0
+    edges = [(order[i], order[i + 1], caps[i]) for i in range(n - 1)]
+    tree = build_gomory_hu_tree(n, edges)
+    assert tree.min_cut_value(0, 1) == 1.0
+    assert tree.min_cut_value(order[10], order[11]) == caps[10]
+    assert tree.min_cut_value(order[5], order[1100]) == 1.0

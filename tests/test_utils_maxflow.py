@@ -210,3 +210,101 @@ class TestCutoffAndReuse:
     def test_self_loop_returns_minus_one(self):
         net = DinicMaxFlow(2)
         assert net.add_edge(0, 0, 1.0) == -1
+
+
+class TestLongPaths:
+    """The augmenting walk keeps an explicit stack: path length is unbounded."""
+
+    def test_five_thousand_node_path(self):
+        n = 5000
+        caps = [1.0 + (i % 7) / 10 for i in range(n - 1)]
+        caps[3210] = 0.25  # the unique bottleneck
+        net = DinicMaxFlow(n)
+        for i, cap in enumerate(caps):
+            net.add_edge(i, i + 1, cap)
+        result = net.solve(0, n - 1)
+        assert result.flow_value == 0.25
+        assert result.source_side == set(range(3211))
+        assert result.flows[(0, 1)] == pytest.approx(0.25)
+
+    def test_flows_snapshot_ignores_later_changes(self):
+        net = DinicMaxFlow(3)
+        arc = net.add_edge(0, 1, 2.0)
+        net.add_edge(1, 2, 1.0)
+        result = net.solve(0, 2)
+        net.set_capacity(arc, 0.0)
+        net.reset_flow()
+        net.solve(0, 2)
+        assert result.flows == {(0, 1): 1.0, (1, 2): 1.0}
+
+
+def _recursive_dinic(net, s, t, cutoff=None):
+    """Textbook recursive Dinic on *net*'s arc arrays: the solver's reference.
+
+    Full BFS levels, one DFS per augmenting path from the source.  The
+    iterative solver must leave bit-for-bit the same residual capacities.
+    """
+    head, to, cap = net._head, net._to, net._cap
+
+    def levels():
+        level = [-1] * net.n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for arc in head[u]:
+                if level[to[arc]] < 0 and cap[arc] > 1e-12:
+                    level[to[arc]] = level[u] + 1
+                    queue.append(to[arc])
+        return level
+
+    def augment(u, pushed, level, it):
+        if u == t:
+            return pushed
+        while it[u] < len(head[u]):
+            arc = head[u][it[u]]
+            if cap[arc] > 1e-12 and level[to[arc]] == level[u] + 1:
+                found = augment(to[arc], min(pushed, cap[arc]), level, it)
+                if found > 1e-12:
+                    cap[arc] -= found
+                    cap[arc ^ 1] += found
+                    return found
+            it[u] += 1
+        return 0.0
+
+    total = 0.0
+    while cutoff is None or total < cutoff:
+        level = levels()
+        if level[t] < 0:
+            break
+        it = [0] * net.n
+        while cutoff is None or total < cutoff:
+            pushed = augment(s, float("inf"), level, it)
+            if pushed <= 1e-12:
+                break
+            total += pushed
+    return total
+
+
+class TestMatchesRecursiveReference:
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        cutoff=st.one_of(st.none(), st.floats(0.0, 5.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_residual_network(self, n, seed, cutoff):
+        rng = np.random.default_rng(seed)
+        arcs = [
+            (u, v, rng.choice([rng.uniform(0, 2), 0.5, 1.0]), rng.choice([0.0, 0.5]))
+            for u in range(n)
+            for v in range(n)
+            if u != v and rng.random() < 0.4
+        ]
+        ours, reference = DinicMaxFlow(n), DinicMaxFlow(n)
+        for arc in arcs:
+            ours.add_edge(*arc)
+            reference.add_edge(*arc)
+        s, t = (int(v) for v in rng.choice(n, size=2, replace=False))
+        result = ours.solve(s, t, cutoff=cutoff)
+        assert result.flow_value == _recursive_dinic(reference, s, t, cutoff)
+        assert ours._cap == reference._cap
