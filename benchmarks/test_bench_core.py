@@ -1,11 +1,11 @@
-"""Core-bench smoke: the array-native compute paths beat the loops.
+"""Core-bench smoke: the vectorized round simulation beats the loop.
 
 A scaled-down in-CI version of ``repro bench-core`` (whose full-size runs
-feed ``BENCH_core.json``): asserts the vectorized round simulator and the
-numpy TreeState backend produce *identical* results to the historical
-loops and are faster at bench-smoke sizes.  Absolute thresholds are
-deliberately loose — machine-independence matters more than the exact
-ratio, which the trajectory file tracks across PRs instead.
+feed ``BENCH_core.json``): asserts the vectorized round simulator produces
+an *identical* estimate to the historical loop and is faster at
+bench-smoke sizes.  The absolute threshold is deliberately loose —
+machine-independence matters more than the exact ratio, which the
+trajectory file tracks across PRs instead.
 """
 
 from __future__ import annotations
@@ -19,17 +19,13 @@ from repro.obs.benchdiff import diff_trajectory_file
 
 
 def test_core_bench_speedups_and_identity(tmp_path):
-    # Small grids keep the loop baselines to a couple of seconds; identity
+    # A small grid keeps the loop baseline to a couple of seconds; identity
     # between implementations is asserted inside run_core_bench.
-    report = run_core_bench(
-        round_grid=40, rounds=100, search_grid=26, search_max_moves=30, seed=0
-    )
+    report = run_core_bench(round_grid=40, rounds=100, seed=0)
     assert report.round_sim_nodes == 1600
-    assert report.search_nodes == 676
-    # The full-size BENCH_core.json runs pin >=10x / >=3x; at smoke sizes
-    # the margins are smaller but must still be decisive.
+    # The full-size BENCH_core.json runs pin >=10x; at smoke size the
+    # margin is smaller but must still be decisive.
     assert report.round_sim_speedup > 3.0
-    assert report.local_search_speedup > 1.5
 
     # Trajectory plumbing: append twice, then the sentinel must parse the
     # document and find no regression between back-to-back runs.

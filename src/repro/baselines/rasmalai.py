@@ -86,9 +86,6 @@ def build_rasmalai_tree(
         raise ValueError("initial_tree must be built over the same network")
     state = TreeState.from_tree(tree)
 
-    # Backend-accelerated: the numpy backend answers this with one
-    # vectorized min + compare over its lifetime vector (same floats, same
-    # member list as the object backend's Python scan).
     def bottleneck_state():
         return state.bottleneck_members(1e-12)
 

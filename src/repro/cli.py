@@ -208,9 +208,9 @@ def _bench_core_main(argv: List[str]) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro bench-core",
-        description="Benchmark the array-native compute core (vectorized "
-        "round simulation + numpy TreeState backend) against the "
-        "historical loops; correctness is asserted, not sampled.",
+        description="Benchmark the vectorized round simulation against "
+        "the historical per-round loop; correctness is asserted, not "
+        "sampled.",
     )
     parser.add_argument(
         "--rounds",
@@ -221,8 +221,8 @@ def _bench_core_main(argv: List[str]) -> int:
     parser.add_argument(
         "--ci",
         action="store_true",
-        help="use CI smoke sizes (40x40 round-sim grid, 26x26 search grid) "
-        "so the loop baselines finish in seconds",
+        help="use CI smoke sizes (40x40 grid, 100 rounds) so the loop "
+        "baseline finishes in seconds",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="workload seed (default 0)"
@@ -237,9 +237,7 @@ def _bench_core_main(argv: List[str]) -> int:
 
     kwargs = {"seed": args.seed}
     if args.ci:
-        kwargs.update(
-            round_grid=40, rounds=100, search_grid=26, search_max_moves=30
-        )
+        kwargs.update(round_grid=40, rounds=100)
     if args.rounds is not None:
         kwargs["rounds"] = args.rounds
     report = run_core_bench(**kwargs)

@@ -153,42 +153,22 @@ def repair_overload(
     tree, or ``None`` when no single move can make progress (the caller
     should fall back to :func:`maximize_lifetime`).
     """
-    network = tree.network
     state = TreeState.from_tree(tree)
     moves = 0
-    # Numpy backend: one vectorized pass over all (child, cand) pairs,
-    # scanned by ascending (overloaded parent, child, cand) — the exact
-    # order and tie-break of the nested loops below.
-    fast = getattr(state, "best_cost_reparent", None)
-    caps_arr = _caps_array(caps, state.n) if fast is not None else None
+    caps_arr = _caps_array(caps, state.n)
     while _total_excess(state, caps) > 0:
-        best: Optional[Tuple[float, int, int]] = None
-        if fast is not None:
-            counts = state.children_counts()
-            overloaded_mask = counts > caps_arr
-            parents_arr = state.parents_array()
-            safe = np.maximum(parents_arr, 0)
-            group = np.where(
-                (parents_arr >= 0) & overloaded_mask[safe], parents_arr, -1
-            )
-            best = fast(cand_ok=counts < caps_arr, child_group=group)
-        else:
-            kids = state.children_lists()
-            overloaded = [
-                v for v in range(state.n) if state.n_children(v) > caps[v]
-            ]
-            for v in overloaded:
-                for child in kids[v]:
-                    for cand in network.neighbors(child):
-                        if cand == v or state.in_subtree(cand, child):
-                            continue
-                        if state.n_children(cand) >= caps[cand]:
-                            continue
-                        delta = network.cost(child, cand) - network.cost(
-                            child, v
-                        )
-                        if best is None or delta < best[0]:
-                            best = (delta, child, cand)
+        # Children of overloaded nodes, scanned by ascending (overloaded
+        # parent, child, cand).
+        counts = state.children_counts()
+        overloaded_mask = counts > caps_arr
+        parents_arr = state.parents_array()
+        safe = np.maximum(parents_arr, 0)
+        group = np.where(
+            (parents_arr >= 0) & overloaded_mask[safe], parents_arr, -1
+        )
+        best = state.best_cost_reparent(
+            cand_ok=counts < caps_arr, child_group=group
+        )
         if best is None:
             if OBS.enabled and moves:
                 OBS.registry.counter(
@@ -332,35 +312,13 @@ def reduce_cost_under_caps(
     Only accepts strictly cost-decreasing re-parent moves whose target stays
     under its cap, so a cap-feasible input remains cap-feasible throughout.
     """
-    network = tree.network
     state = TreeState.from_tree(tree)
-    sink = state.sink
     moves = 0
-    fast = getattr(state, "best_cost_reparent", None)
-    caps_arr = _caps_array(caps, state.n) if fast is not None else None
+    caps_arr = _caps_array(caps, state.n)
     while moves < max_moves:
-        best: Optional[Tuple[float, int, int]] = None
-        if fast is not None:
-            best = fast(
-                cand_ok=state.children_counts() < caps_arr,
-                threshold=COST_EPS,
-            )
-        else:
-            for child in range(state.n):
-                if child == sink:
-                    continue
-                parent = state.parent(child)
-                assert parent is not None
-                for cand in network.neighbors(child):
-                    if cand == parent or state.in_subtree(cand, child):
-                        continue
-                    if state.n_children(cand) >= caps[cand]:
-                        continue
-                    delta = network.cost(child, cand) - network.cost(
-                        child, parent
-                    )
-                    if delta < COST_EPS and (best is None or delta < best[0]):
-                        best = (delta, child, cand)
+        best = state.best_cost_reparent(
+            cand_ok=state.children_counts() < caps_arr, threshold=COST_EPS
+        )
         if best is None:
             break
         state.reparent(best[1], best[2], check=False)

@@ -1,21 +1,16 @@
-"""Core-compute benchmark: array-native backend vs the historical loops.
+"""Core-compute benchmark: the vectorized round simulation vs the loop.
 
-Two measurements, both over workloads the acceptance bar names:
+``AggregationSimulator.estimate_reliability`` (the batched Bernoulli-matrix
+path) runs against a faithful re-implementation of the historical per-edge
+Python loop, on an n≥5000 tree.  Both consume the same RNG stream and must
+produce the same estimate; the speedup is the vectorization win alone.
 
-* **Round simulation** — ``AggregationSimulator.estimate_reliability`` (the
-  batched Bernoulli-matrix path) against a faithful re-implementation of
-  the historical per-edge Python loop, on an n≥5000 tree.  Both consume the
-  same RNG stream and must produce the same estimate; the speedup is the
-  vectorization win alone.
-* **Local search** — ``build_tree("local_search", ...)`` end to end on an
-  n≥2000 network, ``backend="object"`` vs ``backend="numpy"``.  The trees
-  must match bitwise (cost and lifetime compared exactly); the speedup is
-  the struct-of-arrays TreeState win on the scan-heavy cost descent.
-
-``repro bench-core`` runs both and can append the report to a
+``repro bench-core`` runs it and can append the report to a
 ``BENCH_core.json`` trajectory (same shape as ``BENCH_serve.json``), which
 ``repro obs bench-diff`` then gates — the cross-PR regression sentinel for
-the compute core.  See ``docs/performance.md``.
+the compute core.  End-to-end local-search speed is measured by the
+``local_search_large`` perfbench workload instead.  See
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -41,16 +36,10 @@ __all__ = [
 BENCH_CORE_FORMAT = "repro-bench-core"
 BENCH_CORE_VERSION = 1
 
-#: Default workload sizes — the smallest the acceptance bar admits
-#: (round simulation at n ≥ 5000, local search at n ≥ 2000).
+#: Default workload size — the smallest the acceptance bar admits
+#: (round simulation at n ≥ 5000).
 ROUND_SIM_GRID = 71  # 71 × 71 = 5041 nodes
 ROUND_SIM_ROUNDS = 200
-SEARCH_GRID = 45  # 45 × 45 = 2025 nodes
-#: Grid spacing for the search workload: far enough apart that shadowing
-#: spreads link PRRs over orders of magnitude, so the BFS seed is far from
-#: cost-optimal and the descent actually scans.
-SEARCH_SPACING_M = 28.0
-SEARCH_MAX_MOVES = 100
 
 
 def _reference_estimate(tree, rng, n_rounds: int) -> float:
@@ -77,18 +66,13 @@ def _reference_estimate(tree, rng, n_rounds: int) -> float:
 
 @dataclass(frozen=True)
 class CoreBenchReport:
-    """One core-bench run: sizes, wall-clock splits, and the two speedups."""
+    """One core-bench run: sizes, wall-clock split, and the speedup."""
 
     round_sim_nodes: int
     round_sim_rounds: int
     round_sim_reference_s: float
     round_sim_vectorized_s: float
     round_sim_speedup: float
-    search_nodes: int
-    search_max_moves: int
-    search_object_s: float
-    search_numpy_s: float
-    local_search_speedup: float
     timestamp: float
 
     def to_doc(self) -> Dict[str, Any]:
@@ -101,11 +85,6 @@ class CoreBenchReport:
             f" loop {self.round_sim_reference_s:.3f}s ->"
             f" vectorized {self.round_sim_vectorized_s:.3f}s"
             f"  ({self.round_sim_speedup:.1f}x)",
-            f"  local search n={self.search_nodes}"
-            f" max_moves={self.search_max_moves}:"
-            f" object {self.search_object_s:.3f}s ->"
-            f" numpy {self.search_numpy_s:.3f}s"
-            f"  ({self.local_search_speedup:.1f}x)",
         ]
         return "\n".join(lines)
 
@@ -114,18 +93,14 @@ def run_core_bench(
     *,
     round_grid: int = ROUND_SIM_GRID,
     rounds: int = ROUND_SIM_ROUNDS,
-    search_grid: int = SEARCH_GRID,
-    search_max_moves: int = SEARCH_MAX_MOVES,
     seed: int = 0,
 ) -> CoreBenchReport:
-    """Run both core benchmarks once and return the report.
+    """Run the core benchmark once and return the report.
 
-    Correctness is asserted, not sampled: the round-simulation estimates
-    and the local-search trees must agree exactly between the compared
-    implementations (they share RNG streams / decision sequences), so a
-    speedup can never be bought with a behaviour change.
+    Correctness is asserted, not sampled: the two estimates must agree
+    exactly (they share one RNG stream), so a speedup can never be bought
+    with a behaviour change.
     """
-    # --- round simulation: batched matrix vs historical loop -----------
     sim_net = grid_graph(round_grid, round_grid, seed=seed)
     sim_tree = build_tree("bfs", sim_net).tree
 
@@ -141,35 +116,12 @@ def run_core_bench(
             f"round-sim divergence: vectorized {vec} != reference {ref}"
         )
 
-    # --- local search: object backend vs numpy backend ------------------
-    search_net = grid_graph(
-        search_grid, search_grid, spacing_m=SEARCH_SPACING_M, seed=seed
-    )
-    config = {"lc": 1.0, "max_moves": search_max_moves}
-
-    start = time.perf_counter()
-    obj = build_tree("local_search", search_net, backend="object", **config)
-    object_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    vec_build = build_tree("local_search", search_net, backend="numpy", **config)
-    numpy_s = time.perf_counter() - start
-    if (obj.cost, obj.lifetime) != (vec_build.cost, vec_build.lifetime) or (
-        obj.tree.parents != vec_build.tree.parents
-    ):
-        raise AssertionError("local-search divergence between backends")
-
     return CoreBenchReport(
         round_sim_nodes=sim_net.n,
         round_sim_rounds=rounds,
         round_sim_reference_s=reference_s,
         round_sim_vectorized_s=vectorized_s,
         round_sim_speedup=reference_s / max(vectorized_s, 1e-9),
-        search_nodes=search_net.n,
-        search_max_moves=search_max_moves,
-        search_object_s=object_s,
-        search_numpy_s=numpy_s,
-        local_search_speedup=object_s / max(numpy_s, 1e-9),
         timestamp=time.time(),
     )
 

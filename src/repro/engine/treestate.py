@@ -22,26 +22,23 @@ The incremental C and Q accumulate one floating add/multiply per move and so
 can drift from a from-scratch recomputation by a few ULPs over thousands of
 moves; the randomized equivalence suite pins the drift below 1e-9.  Lifetime
 values are recomputed exactly from the children counts, never accumulated.
+
+The greedy cost descents score every ``(child, candidate-parent)`` pair at
+once: :meth:`TreeState.best_cost_reparent` is one vectorized pass over a
+flat adjacency snapshot instead of a per-candidate Python loop, and picks
+the very move that loop would (same floats, same scan order, same
+tie-break).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.tree import AggregationTree
-from repro.engine.backend import get_backend_class, resolve_backend
 from repro.network.model import Network
 
 __all__ = [
@@ -49,7 +46,6 @@ __all__ = [
     "MovePreview",
     "NO_GAIN",
     "TreeState",
-    "TreeStateBackend",
     "freeze_parents",
     "lifetime_delta_better",
 ]
@@ -105,49 +101,9 @@ def lifetime_delta_better(a: LifetimeDelta, b: LifetimeDelta) -> bool:
     return False
 
 
-@runtime_checkable
-class TreeStateBackend(Protocol):
-    """The contract every tree-state backend implements.
-
-    This is the surface the local searches, the builders, and the
-    simulators program against; :class:`TreeState` (the ``"object"``
-    backend) and :class:`~repro.engine.treestate_np.TreeStateNumpy` (the
-    ``"numpy"`` struct-of-arrays backend) both satisfy it, and the
-    randomized cross-backend equivalence suite pins that they agree
-    bitwise on every method below.  Backends are selected by name through
-    :mod:`repro.engine.backend` (``backend=`` argument or the
-    ``REPRO_ENGINE_BACKEND`` environment variable).
-    """
-
-    network: Network
-
-    # structure
-    def is_attached(self, v: int) -> bool: ...
-    def parent(self, v: int) -> Optional[int]: ...
-    def parents_map(self) -> Dict[int, int]: ...
-    def n_children(self, v: int) -> int: ...
-    def children(self, v: int) -> List[int]: ...
-    def children_lists(self) -> List[List[int]]: ...
-    def in_subtree(self, node: int, root: int) -> bool: ...
-    def depths(self) -> List[int]: ...
-
-    # metrics
-    def node_lifetime(self, v: int) -> float: ...
-    def lifetime(self) -> float: ...
-    def lifetime_values(self) -> Sequence[float]: ...
-    def bottleneck_count(self) -> int: ...
-
-    # moves and previews
-    def attach(self, v: int, parent: int) -> None: ...
-    def reparent(self, v: int, new_parent: int, *, check: bool = True) -> None: ...
-    def delta_cost(self, v: int, new_parent: int) -> float: ...
-    def delta_reliability(self, v: int, new_parent: int) -> float: ...
-    def lifetime_if_reparent(self, v: int, new_parent: int) -> float: ...
-    def reparent_lifetime_delta(self, v: int, new_parent: int) -> LifetimeDelta: ...
-
-    # conversion
-    def freeze(self) -> AggregationTree: ...
-    def copy(self) -> "TreeStateBackend": ...
+#: ``(src, dst, cost, indptr)``: the network's directed adjacency as flat
+#: arrays in (src ascending, dst ascending) order, the bulk scans' order.
+_Adjacency = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class TreeState:
@@ -161,12 +117,12 @@ class TreeState:
     (unattached nodes carry their zero-children lifetime, so once the state
     is spanning every metric equals the :class:`AggregationTree` definition).
 
-    ``TreeState(...)`` is also the backend dispatch point: constructing the
-    base class resolves the effective backend (explicit ``backend=`` >
-    ambient :func:`repro.engine.backend.use_backend` > the
-    ``REPRO_ENGINE_BACKEND`` environment variable > ``"object"``) and may
-    hand back a :class:`~repro.engine.treestate_np.TreeStateNumpy` instead.
-    Instantiating a concrete subclass directly always yields that subclass.
+    Link qualities are a snapshot: the PRRs of the network must not change
+    while a state is alive.  The state caches each node's tree-edge cost at
+    attach/reparent time and the bulk scans snapshot every link cost on
+    first use, so a ``set_prr`` mid-search would silently mix old and new
+    costs.  Every caller builds and discards its states inside one build
+    (the churn simulator edits PRRs only between builds).
 
     Args:
         network: The network the tree lives in.
@@ -174,18 +130,15 @@ class TreeState:
             sink's entry ignored).  ``None`` starts with only the sink
             attached.  A partial dict is allowed as long as every attached
             node reaches the sink; edges must exist in the network.
-        backend: Optional backend name (``"object"`` / ``"numpy"``)
-            overriding the ambient/environment policy for this instance.
     """
-
-    #: Registry name of this implementation (subclasses override).
-    backend_name = "object"
 
     __slots__ = (
         "network",
         "_parent",
         "_n_children",
         "_life",
+        "_ecost",
+        "_adj",
         "_cost",
         "_q",
         "_n_attached",
@@ -194,33 +147,22 @@ class TreeState:
         "_min_dirty",
     )
 
-    def __new__(
-        cls,
-        network: Optional[Network] = None,
-        parents: Optional[Dict[int, int] | Sequence[int]] = None,
-        *,
-        backend: Optional[str] = None,
-    ) -> "TreeState":
-        # Only base-class construction dispatches; concrete subclasses are
-        # an explicit choice and are honoured as-is.
-        if cls is TreeState:
-            impl = get_backend_class(resolve_backend(backend))
-            if impl is not TreeState:
-                return super().__new__(impl)
-        return super().__new__(cls)
-
     def __init__(
         self,
         network: Network,
         parents: Optional[Dict[int, int] | Sequence[int]] = None,
-        *,
-        backend: Optional[str] = None,  # consumed by __new__ dispatch
     ) -> None:
         self.network = network
         n = network.n
+        model = network.energy_model
         self._parent = np.full(n, -1, dtype=np.int64)
         self._n_children = np.zeros(n, dtype=np.int64)
-        self._init_lifetimes()
+        self._life: List[float] = [
+            model.lifetime_rounds(network.initial_energy(v), 0) for v in range(n)
+        ]
+        # Cost of each node's current tree edge, for the bulk scans' deltas.
+        self._ecost = np.zeros(n, dtype=np.float64)
+        self._adj: Optional[_Adjacency] = None
         self._cost = 0.0
         self._q = 1.0
         self._n_attached = 1
@@ -230,22 +172,6 @@ class TreeState:
         if parents is not None:
             self._load_parents(parents)
 
-    # -- backend extension points ---------------------------------------
-    # The numpy backend overrides these three hooks (array storage, O(1)
-    # per-move edge bookkeeping, vectorized recomputes); the scalar cost/Q
-    # accumulation itself is shared so both backends produce bitwise-equal
-    # metrics.
-    def _init_lifetimes(self) -> None:
-        network = self.network
-        model = network.energy_model
-        self._life: List[float] = [
-            model.lifetime_rounds(network.initial_energy(v), 0)
-            for v in range(network.n)
-        ]
-
-    def _note_parent_edge(self, v: int, edge) -> None:
-        """Called whenever *v*'s tree edge becomes *edge* (attach/reparent)."""
-
     def _recompute_all_lifetimes(self) -> None:
         network = self.network
         model = network.energy_model
@@ -253,6 +179,7 @@ class TreeState:
             self._life[v] = model.lifetime_rounds(
                 network.initial_energy(v), int(self._n_children[v])
             )
+        self._min_dirty = True
 
     def _load_parents(self, parents: Dict[int, int] | Sequence[int]) -> None:
         network = self.network
@@ -303,46 +230,31 @@ class TreeState:
         for v in range(n):
             p = int(self._parent[v])
             if p >= 0:
-                self._n_children[p] += 1
-                edge = network.edge(v, p)
-                self._cost += edge.cost
-                self._q *= edge.prr
-                self._n_attached += 1
-                self._note_parent_edge(v, edge)
+                self._add_edge(v, p)
         self._recompute_all_lifetimes()
-        self._min_dirty = True
+
+    def _add_edge(self, v: int, p: int) -> None:
+        """Account for the new tree edge ``(v, p)`` (lifetimes not touched)."""
+        edge = self.network.edge(v, p)
+        cost = edge.cost
+        self._n_children[p] += 1
+        self._cost += cost
+        self._q *= edge.prr
+        self._ecost[v] = cost
+        self._n_attached += 1
 
     @classmethod
-    def from_tree(
-        cls, tree: AggregationTree, *, backend: Optional[str] = None
-    ) -> "TreeState":
-        """Thaw an :class:`AggregationTree` into a mutable state.
-
-        Called on the base class this resolves the backend policy (like
-        ``TreeState(...)``); called on a concrete subclass it builds that
-        subclass.
-        """
-        if cls is TreeState:
-            impl = get_backend_class(resolve_backend(backend))
-            if impl is not TreeState:
-                return impl.from_tree(tree)
+    def from_tree(cls, tree: AggregationTree) -> "TreeState":
+        """Thaw an :class:`AggregationTree` into a mutable state."""
         state = cls(tree.network)
         parent = tree._parent
         sink = tree.sink
-        network = tree.network
         for v in range(tree.n):
-            if v == sink:
-                continue
-            p = int(parent[v])
-            state._parent[v] = p
-            state._n_children[p] += 1
-            edge = network.edge(v, p)
-            state._cost += edge.cost
-            state._q *= edge.prr
-            state._note_parent_edge(v, edge)
-        state._n_attached = tree.n
+            if v != sink:
+                p = int(parent[v])
+                state._parent[v] = p
+                state._add_edge(v, p)
         state._recompute_all_lifetimes()
-        state._min_dirty = True
         return state
 
     # ------------------------------------------------------------------
@@ -395,9 +307,8 @@ class TreeState:
         return self._parent.copy()
 
     def children(self, v: int) -> List[int]:
-        """Children of *v* in ascending id order (O(n) scan)."""
-        parent = self._parent
-        return [c for c in range(self.network.n) if parent[c] == v]
+        """Children of *v* in ascending id order (one vectorized O(n) scan)."""
+        return np.nonzero(self._parent == v)[0].tolist()
 
     def children_lists(self) -> List[List[int]]:
         """Children of every node at once (one O(n) pass, ids ascending)."""
@@ -486,15 +397,14 @@ class TreeState:
     def lifetime_values(self) -> Sequence[float]:
         """Per-node lifetimes indexed by node id (read-only view).
 
-        The numpy backend returns its lifetime vector directly; callers
-        must treat the result as immutable.
+        This is the state's own list; callers must treat it as immutable.
         """
         return self._life
 
     def bottleneck_members(self, rel_tol: float = 1e-12) -> Tuple[float, List[int]]:
         """``(low, members)``: the minimum lifetime and the node ids within
         ``low * (1 + rel_tol)`` of it, ascending.  The randomized-switching
-        baseline polls this every attempt, so backends may vectorize it.
+        baseline polls this every attempt.
         """
         life = self._life
         low = min(life)
@@ -544,11 +454,12 @@ class TreeState:
                 f"tree edge ({v}, {parent}) does not exist in the network"
             )
         edge = network.edge(v, parent)
+        cost = edge.cost
         self._parent[v] = parent
         self._n_attached += 1
-        self._cost += edge.cost
+        self._cost += cost
         self._q *= edge.prr
-        self._note_parent_edge(v, edge)
+        self._ecost[v] = cost
         self._update_children(parent, +1)
 
     def reparent(self, v: int, new_parent: int, *, check: bool = True) -> None:
@@ -580,10 +491,11 @@ class TreeState:
                 )
         edge_old = network.edge(v, old)
         edge_new = network.edge(v, p)
-        self._cost += edge_new.cost - edge_old.cost
+        cost_new = edge_new.cost
+        self._cost += cost_new - edge_old.cost
         self._q *= edge_new.prr / edge_old.prr
         self._parent[v] = p
-        self._note_parent_edge(v, edge_new)
+        self._ecost[v] = cost_new
         self._update_children(old, -1)
         self._update_children(p, +1)
 
@@ -707,6 +619,110 @@ class TreeState:
         return tuple(rem), tuple(add)
 
     # ------------------------------------------------------------------
+    # Bulk move scans
+    # ------------------------------------------------------------------
+    def _ensure_adj(self) -> _Adjacency:
+        if self._adj is not None:
+            return self._adj
+        network = self.network
+        n = network.n
+        dst: List[int] = []
+        cost: List[float] = []
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        for v in range(n):
+            for u in network.neighbors(v):  # ascending
+                dst.append(u)
+                # The scalar math.log costs, never np.log: SIMD log is not
+                # guaranteed bitwise-equal to libm.
+                cost.append(network.cost(v, u))
+            indptr[v + 1] = len(dst)
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        self._adj = (
+            src,
+            np.asarray(dst, dtype=np.int64),
+            np.asarray(cost, dtype=np.float64),
+            indptr,
+        )
+        return self._adj
+
+    def reparent_candidates(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(child, cand, delta)`` for every legal-looking re-parent pair.
+
+        Covers all directed ``(node, neighbour)`` pairs with ``child !=
+        sink`` and ``cand != parent(child)``, in (child ascending, cand
+        ascending) order.  ``delta`` is the cost change ``cost(child, cand)
+        - cost(child, parent)``, bitwise-equal to :meth:`delta_cost`.
+        Subtree (cycle) legality is *not* filtered here;
+        :meth:`best_cost_reparent` validates lazily.
+        """
+        src, dst, cost, _ = self._ensure_adj()
+        keep = (src != self.network.sink) & (dst != self._parent[src])
+        child = src[keep]
+        cand = dst[keep]
+        delta = cost[keep] - self._ecost[child]
+        return child, cand, delta
+
+    def best_cost_reparent(
+        self,
+        *,
+        cand_ok: Optional[np.ndarray] = None,
+        child_group: Optional[np.ndarray] = None,
+        pair_ok: Optional[
+            Callable[[np.ndarray, np.ndarray], np.ndarray]
+        ] = None,
+        threshold: Optional[float] = None,
+    ) -> Optional[Tuple[float, int, int]]:
+        """The cheapest valid re-parent move, as ``(delta, child, cand)``.
+
+        Equivalent to a nested loop over children ascending, then their
+        neighbours ascending, keeping a candidate only when its ``delta`` is
+        strictly below the best so far: the minimum delta wins and ties go
+        to the first pair in scan order.  Returns ``None`` when no candidate
+        qualifies.
+
+        Args:
+            cand_ok: Optional per-node bool mask of allowed new parents
+                (children-cap filtering).
+            child_group: Optional per-node int key; when given, children
+                with a negative key are excluded and candidates are scanned
+                grouped by ascending key first (``repair_overload`` scans
+                by ascending overloaded-parent id before child id).
+            pair_ok: Optional vectorized predicate over ``(child, cand)``
+                arrays (the delay-bounded depth gate).
+            threshold: When set, only deltas strictly below it qualify
+                (the ``-1e-15`` strict-descent cutoff).
+
+        Subtree legality is validated lazily on the delta-sorted candidate
+        list (O(depth) ancestor walk each), so the usual case touches a
+        handful of candidates even though every pair was scored.
+        """
+        if not self.spanning:
+            raise ValueError("bulk move scans require a spanning state")
+        child, cand, delta = self.reparent_candidates()
+        valid = np.ones(child.size, dtype=bool)
+        if cand_ok is not None:
+            valid &= cand_ok[cand]
+        if child_group is not None:
+            valid &= child_group[child] >= 0
+        if pair_ok is not None:
+            valid &= pair_ok(child, cand)
+        if threshold is not None:
+            valid &= delta < threshold
+        idx = np.nonzero(valid)[0]
+        if idx.size == 0:
+            return None
+        if child_group is not None:
+            # Stable: keeps (child, cand) order within one group.
+            idx = idx[np.argsort(child_group[child[idx]], kind="stable")]
+        order = idx[np.argsort(delta[idx], kind="stable")]
+        for i in order:
+            c = int(child[i])
+            t = int(cand[i])
+            if not self.in_subtree(t, c):
+                return float(delta[i]), c, t
+        return None
+
+    # ------------------------------------------------------------------
     # Conversion
     # ------------------------------------------------------------------
     def freeze(self) -> AggregationTree:
@@ -724,11 +740,13 @@ class TreeState:
         return AggregationTree(self.network, self.parents_map())
 
     def copy(self) -> "TreeState":
-        """Independent copy of this state (same backend as the original)."""
+        """Independent copy of this state."""
         clone = type(self)(self.network)
         clone._parent = self._parent.copy()
         clone._n_children = self._n_children.copy()
         clone._life = self._life.copy()
+        clone._ecost = self._ecost.copy()
+        clone._adj = self._adj  # immutable snapshot, safe to share
         clone._cost = self._cost
         clone._q = self._q
         clone._n_attached = self._n_attached
@@ -745,14 +763,11 @@ class TreeState:
 
 
 def freeze_parents(
-    network: Network,
-    parents: Dict[int, int] | Sequence[int],
-    *,
-    backend: Optional[str] = None,
+    network: Network, parents: Dict[int, int] | Sequence[int]
 ) -> AggregationTree:
     """One shared parents→:class:`AggregationTree` conversion point.
 
     Covers the single-node network (empty parent map) and validates through
     :class:`TreeState` so every construction site reports the same errors.
     """
-    return TreeState(network, parents, backend=backend).freeze()
+    return TreeState(network, parents).freeze()

@@ -11,8 +11,8 @@ them in two layers:
 * **whole-program passes** — module summaries, an import/call graph
   (:mod:`repro.lint.graph`), and a fixpoint effect inference
   (:mod:`repro.lint.effects`) feeding the interprocedural rules
-  (REP108–REP112: async blocking reachability, await races,
-  process-boundary RNG discipline, backend parity, aliased mutation).
+  (REP108–REP110 and REP112: async blocking reachability, await races,
+  process-boundary RNG discipline, aliased mutation).
 
 Per-file analyses cache by content hash (:class:`LintCache`) so warm runs
 re-parse nothing.  Run it as ``repro lint`` / ``mrlc lint``; see

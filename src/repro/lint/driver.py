@@ -6,7 +6,7 @@ Two rule layers run over one :class:`~repro.lint.context.Project`:
   on that file's bytes, so with ``cache_dir`` set they are answered from
   the content-hash cache (:mod:`repro.lint.cache`) without re-parsing.
 * **project-scope** rules (builder wiring, exports, the interprocedural
-  REP108–REP112 passes) read cross-file state through the project's
+  REP108–REP110 and REP112 passes) read cross-file state through the project's
   module summaries, call graph, and effect analysis.  Summaries come from
   the cache on a warm run, so even the whole-program layer re-parses
   nothing when no file changed — :attr:`LintResult.parsed_files` proves it.

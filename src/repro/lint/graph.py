@@ -1,7 +1,7 @@
 """Whole-program substrate: module summaries, import graph, call graph.
 
 The per-file rules of PR 4 see one AST at a time; the interprocedural
-rules (REP108–REP112) need the *project*.  This module provides the three
+rules (REP108–REP110, REP112) need the *project*.  This module provides the three
 layers they stand on:
 
 1. :class:`ModuleSummary` — a JSON-serializable digest of one parsed file:
@@ -11,8 +11,8 @@ layers they stand on:
    the whole-program analyses below from cached summaries without ever
    re-parsing an unchanged file.
 2. :class:`ImportGraph` — module → imported-project-module edges,
-   including ``from x import *`` and lazy function-level imports (the
-   engine's backend loaders import inside functions).
+   including ``from x import *`` and lazy function-level imports (e.g.
+   ``parallel_build`` imports the engine inside the function).
 3. :class:`CallGraph` — a name-resolved call graph.  Resolution is
    deliberately conservative: bare names resolve through local nested
    defs, module functions/classes, import aliases, and star imports;
@@ -255,10 +255,6 @@ class FunctionSummary:
     rng_capture: bool  # reads an rng-named name it does not bind
 
     @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_")
-
-    @property
     def params(self) -> Tuple[str, ...]:
         return self.pos_params + self.kwonly_params
 
@@ -328,9 +324,6 @@ class ClassSummary:
             if key == name:
                 return value
         return None
-
-    def has_assign(self, name: str) -> bool:
-        return any(key == name for key, _ in self.assigns)
 
     def to_doc(self) -> Dict[str, Any]:
         return {

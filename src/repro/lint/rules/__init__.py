@@ -13,13 +13,12 @@ Rule        Severity  Invariant
 ``REP108``  error     async functions never reach blocking calls
 ``REP109``  error     no read-modify-write of shared attrs across an await
 ``REP110``  error     no live ``Generator`` crosses a process boundary
-``REP111``  error     backends track the ``TreeStateBackend`` protocol
 ``REP112``  error     no frozen-tree mutation through call aliases
 ==========  ========  =====================================================
 
-REP101–REP107 are file-scope (cacheable per file); REP108–REP112 plus the
-cross-file halves of REP104/REP106 are project-scope — they read module
-summaries, the call graph, and the effect analysis
+REP101–REP107 are file-scope (cacheable per file); REP108–REP110 and
+REP112 plus the cross-file halves of REP104/REP106 are project-scope — they
+read module summaries, the call graph, and the effect analysis
 (:mod:`repro.lint.graph`, :mod:`repro.lint.effects`).
 
 (``REP000`` is the driver's pseudo-rule for unparsable files.)
@@ -34,7 +33,6 @@ from repro.lint.rules import (
     floats,
     frozen,
     obs,
-    parity,
     rng,
     timing,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "floats",
     "frozen",
     "obs",
-    "parity",
     "rng",
     "timing",
 ]

@@ -64,7 +64,6 @@ DEFAULT_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
     ),
     "repro-bench-core": (
         MetricSpec("round_sim_speedup", higher_is_better=True),
-        MetricSpec("local_search_speedup", higher_is_better=True),
     ),
     "repro-bench-portfolio": (
         MetricSpec("speedup", higher_is_better=True),

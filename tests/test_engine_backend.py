@@ -1,144 +1,29 @@
-"""Backend registry + numpy TreeState: selection machinery and bitwise parity.
+"""TreeState bulk move scans against the nested-loop reference oracle.
 
-The contract under test (see ``docs/performance.md``): the numpy
-struct-of-arrays backend is a *bitwise* drop-in for the object backend —
-identical floats, identical move decisions, identical frozen trees — with
-selection layered as explicit argument > ambient scope > environment
-variable > ``"object"`` default.
+``TreeState.best_cost_reparent`` answers every greedy cost descent with one
+vectorized pass over all ``(child, candidate-parent)`` pairs.  The contract
+is that it picks exactly the move the plain loops in
+:mod:`tests.reference_scan` pick — same delta, same child, same candidate —
+so builders produce bitwise-identical trees whichever scan runs.  (The
+"across backends" test names date from when the two scans lived in two
+TreeState classes.)
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine import (
-    DEFAULT_BACKEND,
-    ENV_BACKEND,
-    TreeState,
-    TreeStateBackend,
-    TreeStateNumpy,
-    available_tree_backends,
-    build_tree,
-    get_backend_class,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
+from repro.engine import TreeState, build_tree
 from repro.network.model import Network
 from repro.network.topology import random_graph
-
-# ---------------------------------------------------------------------------
-# selection machinery
-# ---------------------------------------------------------------------------
+from tests.reference_scan import reference_best_cost_reparent, use_reference_scan
 
 
-def test_registry_lists_both_backends():
-    assert available_tree_backends() == ("numpy", "object")
-    assert get_backend_class("object") is TreeState
-    assert get_backend_class("numpy") is TreeStateNumpy
-
-
-def test_resolve_precedence_arg_over_ambient_over_env(monkeypatch):
-    assert resolve_backend() == DEFAULT_BACKEND
-    monkeypatch.setenv(ENV_BACKEND, "numpy")
-    assert resolve_backend() == "numpy"
-    with use_backend("object"):
-        assert resolve_backend() == "object"  # ambient beats env
-        assert resolve_backend("numpy") == "numpy"  # arg beats ambient
-    assert resolve_backend() == "numpy"  # scope restored
-
-
-def test_unknown_backend_rejected_everywhere(monkeypatch):
-    with pytest.raises(ValueError, match="bogus"):
-        resolve_backend("bogus")
-    with pytest.raises(ValueError):
-        set_default_backend("bogus")
-    with pytest.raises(ValueError):
-        with use_backend("bogus"):
-            pass
-    monkeypatch.setenv(ENV_BACKEND, "bogus")
-    with pytest.raises(ValueError, match=ENV_BACKEND):
-        resolve_backend()
-
-
-def test_use_backend_none_is_a_noop_scope():
-    with use_backend("numpy"):
-        with use_backend(None):
-            assert resolve_backend() == "numpy"
-
-
-def test_constructor_dispatch_and_subclass_bypass():
-    net = random_graph(10, 0.7, seed=1)
-    assert type(TreeState(net)) is TreeState
-    assert type(TreeState(net, backend="numpy")) is TreeStateNumpy
-    with use_backend("numpy"):
-        assert type(TreeState(net)) is TreeStateNumpy
-        assert type(TreeState.from_tree(build_tree("bfs", net).tree)) is (
-            TreeStateNumpy
-        )
-    # direct subclass instantiation never re-dispatches
-    assert type(TreeStateNumpy(net)) is TreeStateNumpy
-
-
-def test_both_backends_satisfy_protocol():
-    net = random_graph(8, 0.8, seed=2)
-    for backend in available_tree_backends():
-        assert isinstance(TreeState(net, backend=backend), TreeStateBackend)
-
-
-def test_copy_preserves_concrete_backend():
-    net = random_graph(9, 0.8, seed=3)
-    state = TreeState.from_tree(build_tree("bfs", net).tree, backend="numpy")
-    assert type(state.copy()) is TreeStateNumpy
-    assert state.copy().backend_name == "numpy"
-
-
-# ---------------------------------------------------------------------------
-# cross-backend bitwise parity
-# ---------------------------------------------------------------------------
-
-
-def _mirror_states(net):
-    tree = build_tree("bfs", net).tree
-    return (
-        TreeState.from_tree(tree, backend="object"),
-        TreeState.from_tree(tree, backend="numpy"),
-    )
-
-
-def test_random_mutations_bitwise_identical_across_backends():
-    net = random_graph(40, 0.3, prr_low=0.5, prr_high=0.99, seed=23)
-    obj, vec = _mirror_states(net)
-    rng = random.Random(7)
-    for _ in range(400):
-        moves = [
-            (v, p)
-            for v in range(net.n)
-            if v != net.sink
-            for p in net.neighbors(v)
-            if p != obj.parent(v) and not obj.in_subtree(p, v)
-        ]
-        v, p = rng.choice(moves)
-        # previews agree bitwise before the move...
-        assert obj.delta_cost(v, p) == vec.delta_cost(v, p)
-        assert obj.lifetime_if_reparent(v, p) == vec.lifetime_if_reparent(v, p)
-        obj.reparent(v, p)
-        vec.reparent(v, p)
-        # ...and every maintained metric agrees bitwise after it.
-        assert obj.cost == vec.cost
-        assert obj.reliability == vec.reliability
-        assert obj.lifetime() == vec.lifetime()
-        assert obj.bottleneck_count() == vec.bottleneck_count()
-    assert obj.parents_map() == vec.parents_map()
-    assert obj.children_lists() == vec.children_lists()
-    assert list(obj.lifetime_values()) == list(vec.lifetime_values())
-    assert obj.bottleneck_members() == vec.bottleneck_members()
-    assert obj.freeze().parents == vec.freeze().parents
-
-
-@pytest.mark.parametrize("builder", ["ira", "local_search", "delay_bounded", "rasmalai"])
-def test_builders_bitwise_identical_across_backends(builder):
+def _run_builder(builder):
     net = random_graph(24, 0.4, prr_low=0.6, prr_high=0.95, seed=11)
     config = {}
     if builder in ("ira", "local_search"):
@@ -147,26 +32,28 @@ def test_builders_bitwise_identical_across_backends(builder):
         config["max_depth"] = 6
     if builder == "rasmalai":
         config["seed"] = 4
-    a = build_tree(builder, net, backend="object", **config)
-    b = build_tree(builder, net, backend="numpy", **config)
+    return build_tree(builder, net, **config)
+
+
+@pytest.mark.parametrize("builder", ["ira", "local_search", "delay_bounded", "rasmalai"])
+def test_builders_bitwise_identical_across_backends(builder, monkeypatch):
+    a = _run_builder(builder)
+    use_reference_scan(monkeypatch)
+    b = _run_builder(builder)
     assert a.tree.parents == b.tree.parents
     assert a.cost == b.cost
     assert a.reliability == b.reliability
     assert a.lifetime == b.lifetime
 
 
-def test_churn_simulation_bitwise_identical_across_backends():
-    """The flood-accounting path (protocol + churn) is backend-neutral."""
+def test_churn_simulation_bitwise_identical_across_backends(monkeypatch):
+    """The churn simulator's rebuilds pick the same trees under either scan."""
     from repro.distributed.simulator import ChurnSimulation
 
-    def run(backend):
+    def run():
         net = random_graph(18, 0.45, prr_low=0.6, prr_high=0.95, seed=5)
         tree = build_tree("ira", net, lc=100.0).tree
-        with use_backend(backend):
-            sim = ChurnSimulation(
-                net, tree, 100.0, improve_probability=0.3, seed=21
-            )
-            records = sim.run(25)
+        sim = ChurnSimulation(net, tree, 100.0, improve_probability=0.3, seed=21)
         return [
             (
                 r.degraded_edge,
@@ -177,15 +64,85 @@ def test_churn_simulation_bitwise_identical_across_backends():
                 r.cumulative_messages,
                 r.changed,
             )
-            for r in records
+            for r in sim.run(25)
         ]
 
-    assert run("object") == run("numpy")
+    fast = run()
+    use_reference_scan(monkeypatch)
+    assert fast == run()
 
 
-# ---------------------------------------------------------------------------
-# deep-chain regression (satellite: depths() stays iterative)
-# ---------------------------------------------------------------------------
+def test_random_mutations_bitwise_identical_across_backends():
+    """Along 400 random re-parents, both scans agree at every state."""
+    net = random_graph(40, 0.3, prr_low=0.5, prr_high=0.99, seed=23)
+    state = TreeState.from_tree(build_tree("bfs", net).tree)
+    caps = np.full(net.n, 3, dtype=np.int64)
+    rng = random.Random(7)
+    for _ in range(400):
+        cand_ok = state.children_counts() < caps
+        for kwargs in ({}, {"cand_ok": cand_ok}, {"threshold": -1e-15}):
+            assert state.best_cost_reparent(**kwargs) == (
+                reference_best_cost_reparent(state, **kwargs)
+            )
+        moves = [
+            (v, p)
+            for v in range(net.n)
+            if v != net.sink
+            for p in net.neighbors(v)
+            if p != state.parent(v) and not state.in_subtree(p, v)
+        ]
+        state.reparent(*rng.choice(moves))
+
+
+@st.composite
+def scan_cases(draw):
+    """A spanning tree on a small network plus every scan filter.
+
+    PRRs come from a four-value set, so equal-cost candidates (ties) are
+    common; n runs down to 1.
+    """
+    n = draw(st.integers(1, 9))
+    prrs = st.sampled_from([0.5, 0.8, 0.9, 1.0])
+    net = Network(n)
+    parents = {}
+    for v in range(1, n):
+        parents[v] = draw(st.integers(0, v - 1))
+        net.add_link(v, parents[v], draw(prrs))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not net.has_edge(u, v) and draw(st.booleans()):
+                net.add_link(u, v, draw(prrs))
+    state = TreeState(net, parents)
+    kwargs = {}
+    if draw(st.booleans()):
+        kwargs["cand_ok"] = np.array(
+            draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
+        )
+    if draw(st.booleans()):
+        kwargs["child_group"] = np.array(
+            draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)), dtype=np.int64
+        )
+    if draw(st.booleans()):
+        allowed = np.array(
+            draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        ).reshape(n, n)
+        kwargs["pair_ok"] = lambda child, cand: allowed[child, cand]
+    if draw(st.booleans()):
+        kwargs["threshold"] = draw(st.sampled_from([-1e-15, 0.0, 0.3]))
+    return state, kwargs
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_each_descent_step_picks_the_reference_move(case):
+    """Descending to a fixed point, every step's (delta, child, cand) match."""
+    state, kwargs = case
+    for _ in range(3 * state.n):
+        move = state.best_cost_reparent(**kwargs)
+        assert move == reference_best_cost_reparent(state, **kwargs)
+        if move is None or not move[0] < 0:
+            break
+        state.reparent(move[1], move[2])
 
 
 def test_depths_survive_ten_thousand_node_path():
@@ -196,9 +153,8 @@ def test_depths_survive_ten_thousand_node_path():
     for v in range(1, n):
         net.add_link(v - 1, v, 0.99)
     parents = {v: v - 1 for v in range(1, n)}
-    for backend in available_tree_backends():
-        state = TreeState(net, parents, backend=backend)
-        depths = state.depths()
-        assert depths[n - 1] == n - 1
-        assert state.freeze().parents == parents
-        assert math.isfinite(state.cost)
+    state = TreeState(net, parents)
+    depths = state.depths()
+    assert depths[n - 1] == n - 1
+    assert state.freeze().parents == parents
+    assert math.isfinite(state.cost)

@@ -13,16 +13,9 @@ from repro.engine import (
     tree_builder,
 )
 from repro.engine import registry as registry_module
-from repro.engine import use_backend
 from repro.network.dfl import dfl_network
 from repro.network.topology import random_graph
-
-
-@pytest.fixture(autouse=True, params=["object", "numpy"])
-def tree_backend(request):
-    """Exercise the whole registry suite under both TreeState backends."""
-    with use_backend(request.param):
-        yield request.param
+from tests.reference_scan import move_scan  # noqa: F401 - autouse fixture
 
 #: Every builder the issue requires to be resolvable by canonical name.
 REQUIRED_NAMES = (

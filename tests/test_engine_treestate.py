@@ -3,9 +3,10 @@
 The core contract of :class:`repro.engine.TreeState` is that after *any*
 sequence of ``attach``/``reparent`` mutations, its incrementally maintained
 C(T), Q(T), L(T), and children counts match a freshly constructed
-:class:`~repro.core.tree.AggregationTree` to 1e-9.  The randomized suite
-here drives a thousand mutations per topology and re-checks the invariant
-throughout.
+:class:`~repro.core.tree.AggregationTree` to 1e-9, and its bulk cost scan
+picks the move the nested-loop reference picks on a state built from
+scratch.  The randomized suite here drives a thousand mutations per
+topology and re-checks the invariant throughout.
 """
 
 import random
@@ -18,29 +19,12 @@ from repro.engine import (
     TreeState,
     freeze_parents,
     lifetime_delta_better,
-    use_backend,
 )
 from repro.network.dfl import dfl_network
 from repro.network.model import Network
 from repro.network.topology import grid_graph, random_graph
-
-
-@pytest.fixture(autouse=True, params=["object", "numpy"])
-def tree_backend(request):
-    """Run every test in this module under both TreeState backends.
-
-    The ambient scope makes each bare ``TreeState(...)`` /
-    ``TreeState.from_tree(...)`` in the tests dispatch to the selected
-    implementation, so the whole invariant suite doubles as the backend
-    parity suite.
-    """
-    with use_backend(request.param):
-        yield request.param
-
-
-def test_dispatch_honours_ambient_backend(tree_backend):
-    state = TreeState(dfl_network())
-    assert state.backend_name == tree_backend
+from tests.reference_scan import move_scan  # noqa: F401 - autouse fixture
+from tests.reference_scan import reference_best_cost_reparent
 
 
 def _reference(state: TreeState) -> AggregationTree:
@@ -59,6 +43,9 @@ def _assert_matches_reference(state: TreeState) -> None:
         assert state.node_lifetime(v) == pytest.approx(
             tree.node_lifetime(v), abs=1e-9
         )
+    # The incrementally kept tree-edge costs feed the scan's deltas.
+    fresh = TreeState(state.network, state.parents_map())
+    assert state.best_cost_reparent() == reference_best_cost_reparent(fresh)
 
 
 def _legal_reparents(state: TreeState):

@@ -2,10 +2,9 @@
 
 The shapes here are the ones that break naive resolvers: import cycles,
 ``from x import *``, decorated and re-exported builders, lazily imported
-backends (function-level imports, the ``engine/backend.py`` loader
-pattern).  The final class pins the graph on the real repository: build
-never crashes, every ``@tree_builder`` entry point resolves to a node,
-and the known lazy-loader edges exist.
+modules (function-level imports).  The final class pins the graph on the
+real repository: build never crashes, every ``@tree_builder`` entry point
+resolves to a node, and the known lazy-import edges exist.
 """
 
 from __future__ import annotations
@@ -248,19 +247,18 @@ class TestRealRepository:
             fn = graph.nodes[node_id].summary
             assert fn.pos_params and fn.pos_params[0] == "network", name
 
-    def test_lazy_backend_loaders_have_import_edges(self):
-        # engine/backend.py imports both backends inside loader functions;
-        # the import graph must see through the laziness.
-        project = self.project()
-        deps = project.import_graph().imports_of("repro.engine.backend")
-        assert "repro.engine.treestate" in deps
-        assert "repro.engine.treestate_np" in deps
+    def test_lazy_function_level_imports_have_import_edges(self):
+        # parallel_build imports the engine, and bench-core its benchmark,
+        # only inside functions; the import graph must see through that.
+        graph = self.project().import_graph()
+        assert "repro.engine" in graph.imports_of("repro.experiments.parallel")
+        assert "repro.engine.bench" in graph.imports_of("repro.cli")
 
-    def test_backend_dispatch_calls_resolve_cross_module(self):
-        # TreeState.__new__ dispatches through the backend loader module;
-        # both helper calls must resolve across the module boundary.
-        project = self.project()
-        graph = project.call_graph()
-        callees = graph.edges["repro.engine.treestate:TreeState.__new__"]
-        assert "repro.engine.backend:resolve_backend" in callees
-        assert "repro.engine.backend:get_backend_class" in callees
+    def test_treestate_calls_resolve_cross_module(self):
+        # The local searches call into the engine's TreeState module: a
+        # class call and an imported function must both resolve.
+        graph = self.project().call_graph()
+        bfs = graph.edges["repro.core.local_search:bfs_tree"]
+        assert "repro.engine.treestate:TreeState.__init__" in bfs
+        path = graph.edges["repro.core.local_search:improve_hamiltonian_path"]
+        assert "repro.engine.treestate:freeze_parents" in path

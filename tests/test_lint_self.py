@@ -43,7 +43,6 @@ class TestSelfCheck:
             "REP108",
             "REP109",
             "REP110",
-            "REP111",
             "REP112",
         } <= ids
 
@@ -56,7 +55,7 @@ class TestSelfCheck:
     def test_interprocedural_rules_are_project_scope(self):
         scopes = {rule.id: rule.scope for rule in all_rules()}
         for rule_id in ("REP104", "REP106", "REP108", "REP109", "REP110",
-                        "REP111", "REP112"):
+                        "REP112"):
             assert scopes[rule_id] == "project", rule_id
 
     def test_every_rule_has_explain_doc(self):
