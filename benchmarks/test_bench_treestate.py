@@ -10,6 +10,10 @@ and pins two properties at n ∈ {50, 100, 200}:
   tree (the port is decision-identical, not just approximately as good);
 * the incremental engine is strictly faster at the largest size.
 
+A second bench pins the whole-array 2-opt / or-opt path polish against its
+nested-loop oracle (``tests/reference_scan.py``) on one n=100 one-child
+(Hamiltonian path) instance: same path out, at least 5x faster.
+
 Timing uses ``time.perf_counter`` directly rather than pytest-benchmark's
 fixture: the two paths must run on the same freshly-built inputs, and the
 comparison (not an absolute number) is the assertion.  When instrumentation
@@ -22,12 +26,19 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Tuple
 
+import numpy as np
 import pytest
 
-from repro.core.local_search import bfs_tree, lifetime_vector, maximize_lifetime
+from repro.core.local_search import (
+    bfs_tree,
+    improve_hamiltonian_path,
+    lifetime_vector,
+    maximize_lifetime,
+)
 from repro.core.tree import AggregationTree
 from repro.network.topology import random_graph
 from repro.obs import instrument
+from tests.reference_scan import reference_improve_hamiltonian_path
 
 #: (n_nodes, link_probability, max_moves) per size tier.  Move caps keep the
 #: rebuild path affordable; both implementations get the same cap, so they
@@ -136,3 +147,23 @@ def test_treestate_metrics_match_tree_at_scale(n, link_p):
     rebuilt = AggregationTree(net, tree.parents)
     assert tree.cost() == pytest.approx(rebuilt.cost(), abs=1e-9)
     assert tree.lifetime() == pytest.approx(rebuilt.lifetime(), abs=1e-9)
+
+
+def test_path_polish_matches_loops_and_is_5x_faster():
+    """Whole-array path polish: the oracle's path, at least 5x its speed."""
+    net = random_graph(100, 0.3, prr_low=0.6, prr_high=1.0, seed=4500)
+    rng = np.random.default_rng(4500)
+    order = [0] + (rng.permutation(99) + 1).tolist()
+    for k in range(99):
+        if not net.has_edge(order[k], order[k + 1]):
+            net.add_link(order[k], order[k + 1], 0.6)
+    path = AggregationTree(net, {order[k + 1]: order[k] for k in range(99)})
+
+    fast, t_fast = _time(lambda: improve_hamiltonian_path(path))
+    slow, t_slow = _time(lambda: reference_improve_hamiltonian_path(path))
+
+    assert fast.parents == slow.parents
+    assert fast.cost() < path.cost()
+    speedup = t_slow / t_fast
+    print(f"path polish n=100: loops={t_slow:.3f}s bulk={t_fast:.4f}s {speedup:.1f}x")
+    assert speedup >= 5.0, f"path polish only {speedup:.1f}x the loops"

@@ -133,7 +133,8 @@ def _build_local_search(network: Network, *, lc: float, max_moves: int = 100_000
         for v in network.nodes
     }
     polished = improve_hamiltonian_path(
-        reduce_cost_under_caps(lifted, caps, max_moves=max_moves)
+        reduce_cost_under_caps(lifted, caps, max_moves=max_moves),
+        max_moves=max_moves,
     )
     meta = {"ascent_moves": ascent_moves, "lifetime": polished.lifetime()}
     return polished, meta

@@ -24,10 +24,10 @@ moves; the randomized equivalence suite pins the drift below 1e-9.  Lifetime
 values are recomputed exactly from the children counts, never accumulated.
 
 The greedy cost descents score every ``(child, candidate-parent)`` pair at
-once: :meth:`TreeState.best_cost_reparent` is one vectorized pass over a
-flat adjacency snapshot instead of a per-candidate Python loop, and picks
-the very move that loop would (same floats, same scan order, same
-tie-break).
+once: :meth:`TreeState.best_cost_reparent` is one vectorized pass over the
+network's link-cost snapshot (:meth:`Network.cost_snapshot`) instead of a
+per-candidate Python loop, and picks the very move that loop would (same
+floats, same scan order, same tie-break).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "TreeState",
     "freeze_parents",
     "lifetime_delta_better",
+    "swap_lifetime_delta",
 ]
 
 #: A lifetime delta as two cancelled multisets ``(removed, added)`` of
@@ -56,6 +57,34 @@ LifetimeDelta = Tuple[Tuple[float, ...], Tuple[float, ...]]
 
 #: The identity lifetime delta (move changes no node's lifetime).
 NO_GAIN: LifetimeDelta = ((), ())
+
+
+def swap_lifetime_delta(
+    old_before: float, new_before: float, old_after: float, new_after: float
+) -> LifetimeDelta:
+    """The lifetime delta of a re-parent move from its two touched nodes.
+
+    The old and new parent's lifetimes go from ``*_before`` to
+    ``*_after``; values that both leave and enter the multiset cancel.
+    """
+    removed = sorted((old_before, new_before))
+    added = sorted((old_after, new_after))
+    rem: List[float] = []
+    add: List[float] = []
+    i = j = 0
+    while i < 2 and j < 2:
+        if removed[i] == added[j]:
+            i += 1
+            j += 1
+        elif removed[i] < added[j]:
+            rem.append(removed[i])
+            i += 1
+        else:
+            add.append(added[j])
+            j += 1
+    rem.extend(removed[i:])
+    add.extend(added[j:])
+    return tuple(rem), tuple(add)
 
 
 @dataclass(frozen=True)
@@ -101,11 +130,6 @@ def lifetime_delta_better(a: LifetimeDelta, b: LifetimeDelta) -> bool:
     return False
 
 
-#: ``(src, dst, cost, indptr)``: the network's directed adjacency as flat
-#: arrays in (src ascending, dst ascending) order, the bulk scans' order.
-_Adjacency = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
 class TreeState:
     """Mutable (partial) spanning tree with O(1) incremental paper metrics.
 
@@ -117,12 +141,12 @@ class TreeState:
     (unattached nodes carry their zero-children lifetime, so once the state
     is spanning every metric equals the :class:`AggregationTree` definition).
 
-    Link qualities are a snapshot: the PRRs of the network must not change
-    while a state is alive.  The state caches each node's tree-edge cost at
-    attach/reparent time and the bulk scans snapshot every link cost on
-    first use, so a ``set_prr`` mid-search would silently mix old and new
-    costs.  Every caller builds and discards its states inside one build
-    (the churn simulator edits PRRs only between builds).
+    The PRRs of the network must not change while a state is alive.  The
+    state caches each node's tree-edge cost at attach/reparent time, while
+    the bulk scans read the network's cost snapshot, which a ``set_prr``
+    rebuilds; a mid-search edit would silently mix old and new costs.
+    Every caller builds and discards its states inside one build (the
+    churn simulator edits PRRs only between builds).
 
     Args:
         network: The network the tree lives in.
@@ -138,7 +162,6 @@ class TreeState:
         "_n_children",
         "_life",
         "_ecost",
-        "_adj",
         "_cost",
         "_q",
         "_n_attached",
@@ -162,7 +185,6 @@ class TreeState:
         ]
         # Cost of each node's current tree edge, for the bulk scans' deltas.
         self._ecost = np.zeros(n, dtype=np.float64)
-        self._adj: Optional[_Adjacency] = None
         self._cost = 0.0
         self._q = 1.0
         self._n_attached = 1
@@ -579,7 +601,8 @@ class TreeState:
         the ascending lifetime vector of the trial tree differs from the
         current one by at most two removals and two additions.  Feed the
         result to :func:`lifetime_delta_better` for O(1) lexicographic
-        comparison of candidate moves — the engine of the AAML ascent.
+        comparison of candidate moves.  The AAML ascent builds the same
+        delta with :func:`swap_lifetime_delta` from cached lifetimes.
         """
         old = int(self._parent[v])
         if old < 0:
@@ -588,63 +611,20 @@ class TreeState:
         if p == old:
             return NO_GAIN
         model = self.network.energy_model
-        removed = sorted((self._life[old], self._life[p]))
-        added = sorted(
-            (
-                model.lifetime_rounds(
-                    self.network.initial_energy(old),
-                    int(self._n_children[old]) - 1,
-                ),
-                model.lifetime_rounds(
-                    self.network.initial_energy(p),
-                    int(self._n_children[p]) + 1,
-                ),
-            )
+        return swap_lifetime_delta(
+            self._life[old],
+            self._life[p],
+            model.lifetime_rounds(
+                self.network.initial_energy(old), int(self._n_children[old]) - 1
+            ),
+            model.lifetime_rounds(
+                self.network.initial_energy(p), int(self._n_children[p]) + 1
+            ),
         )
-        rem: List[float] = []
-        add: List[float] = []
-        i = j = 0
-        while i < 2 and j < 2:
-            if removed[i] == added[j]:
-                i += 1
-                j += 1
-            elif removed[i] < added[j]:
-                rem.append(removed[i])
-                i += 1
-            else:
-                add.append(added[j])
-                j += 1
-        rem.extend(removed[i:])
-        add.extend(added[j:])
-        return tuple(rem), tuple(add)
 
     # ------------------------------------------------------------------
     # Bulk move scans
     # ------------------------------------------------------------------
-    def _ensure_adj(self) -> _Adjacency:
-        if self._adj is not None:
-            return self._adj
-        network = self.network
-        n = network.n
-        dst: List[int] = []
-        cost: List[float] = []
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for v in range(n):
-            for u in network.neighbors(v):  # ascending
-                dst.append(u)
-                # The scalar math.log costs, never np.log: SIMD log is not
-                # guaranteed bitwise-equal to libm.
-                cost.append(network.cost(v, u))
-            indptr[v + 1] = len(dst)
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        self._adj = (
-            src,
-            np.asarray(dst, dtype=np.int64),
-            np.asarray(cost, dtype=np.float64),
-            indptr,
-        )
-        return self._adj
-
     def reparent_candidates(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(child, cand, delta)`` for every legal-looking re-parent pair.
 
@@ -655,7 +635,7 @@ class TreeState:
         Subtree (cycle) legality is *not* filtered here;
         :meth:`best_cost_reparent` validates lazily.
         """
-        src, dst, cost, _ = self._ensure_adj()
+        src, dst, cost, _ = self.network.cost_snapshot()
         keep = (src != self.network.sink) & (dst != self._parent[src])
         child = src[keep]
         cand = dst[keep]
@@ -746,7 +726,6 @@ class TreeState:
         clone._n_children = self._n_children.copy()
         clone._life = self._life.copy()
         clone._ecost = self._ecost.copy()
-        clone._adj = self._adj  # immutable snapshot, safe to share
         clone._cost = self._cost
         clone._q = self._q
         clone._n_attached = self._n_attached

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.network.energy import DEFAULT_BATTERY_J, EnergyModel, TELOSB
 from repro.utils.validation import check_non_negative, check_probability
 
-__all__ = ["Edge", "Network", "edge_key"]
+__all__ = ["CostSnapshot", "Edge", "Network", "edge_key"]
 
 #: Smallest PRR treated as a usable link; below this the cost -log(q) blows
 #: up and the link is numerically (and practically) useless.
@@ -69,6 +69,22 @@ class Edge:
         if node == self.v:
             return self.u
         raise ValueError(f"node {node} is not an endpoint of edge {self.key}")
+
+
+class CostSnapshot(NamedTuple):
+    """Every directed link ``src -> dst`` and its cost as flat CSR arrays.
+
+    Rows are ``src`` ascending and each row's ``dst`` ascending (the order
+    of :meth:`Network.neighbors`); ``dst[indptr[v]:indptr[v + 1]]`` are
+    *v*'s neighbours.  Each undirected link appears once per direction.
+    ``cost`` holds the scalar :attr:`Edge.cost` values, never ``np.log``
+    ones: SIMD log is not guaranteed bitwise-equal to libm.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    cost: np.ndarray
+    indptr: np.ndarray
 
 
 class Network:
@@ -124,6 +140,7 @@ class Network:
 
         self._edges: Dict[Tuple[int, int], Edge] = {}
         self._adj: List[Dict[int, Edge]] = [dict() for _ in range(self.n)]
+        self._snapshot: Optional[CostSnapshot] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -137,6 +154,7 @@ class Network:
         self._edges[key] = edge
         self._adj[u][v] = edge
         self._adj[v][u] = edge
+        self._snapshot = None
         return edge
 
     def remove_link(self, u: int, v: int) -> None:
@@ -145,6 +163,7 @@ class Network:
         del self._edges[key]
         del self._adj[u][v]
         del self._adj[v][u]
+        self._snapshot = None
 
     def set_prr(self, u: int, v: int, prr: float) -> Edge:
         """Update the PRR of an existing link (used by the dynamic protocol)."""
@@ -188,6 +207,34 @@ class Network:
         """Sorted neighbor ids of *node*."""
         self._check_node(node)
         return sorted(self._adj[node])
+
+    def cost_snapshot(self) -> CostSnapshot:
+        """The link costs as flat arrays, for the bulk move scans.
+
+        Built on first use and kept until ``add_link``, ``remove_link`` or
+        ``set_prr`` changes a link; it is not pickled.
+        """
+        if self._snapshot is None:
+            n = self.n
+            dst: List[int] = []
+            cost: List[float] = []
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            for v in range(n):
+                row = self._adj[v]
+                for u in sorted(row):
+                    dst.append(u)
+                    cost.append(row[u].cost)
+                indptr[v + 1] = len(dst)
+            snapshot = CostSnapshot(
+                np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)),
+                np.asarray(dst, dtype=np.int64),
+                np.asarray(cost, dtype=np.float64),
+                indptr,
+            )
+            for array in snapshot:
+                array.setflags(write=False)  # shared by every caller
+            self._snapshot = snapshot
+        return self._snapshot
 
     def degree(self, node: int) -> int:
         self._check_node(node)
@@ -296,6 +343,11 @@ class Network:
         for e in self.edges():
             g.add_edge(e.u, e.v, prr=e.prr, cost=e.cost)
         return g
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_snapshot"] = None
+        return state
 
     def _check_node(self, node: int) -> None:
         if not (0 <= node < self.n):

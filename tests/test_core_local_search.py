@@ -135,3 +135,21 @@ class TestReduceCostUnderCaps:
         once = reduce_cost_under_caps(tree, caps)
         twice = reduce_cost_under_caps(once, caps)
         assert once == twice
+
+
+class TestLocalSearchBuilderCaps:
+    def test_max_moves_reaches_the_path_polish(self, monkeypatch):
+        import repro.engine.builders as builders
+        from repro.engine import build_tree
+
+        seen = []
+        polish = builders.improve_hamiltonian_path
+
+        def spy(tree, **kwargs):
+            seen.append(kwargs.get("max_moves"))
+            return polish(tree, **kwargs)
+
+        monkeypatch.setattr(builders, "improve_hamiltonian_path", spy)
+        net = random_graph(12, 0.6, seed=5)
+        build_tree("local_search", net, lc=1.0, max_moves=7)
+        assert seen == [7]

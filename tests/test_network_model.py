@@ -188,3 +188,87 @@ class TestGraphQueries:
         assert g.number_of_edges() == 6
         assert g.edges[0, 2]["prr"] == 0.8
         assert g.nodes[0]["energy"] == tiny_network.initial_energy(0)
+
+
+class TestCostSnapshot:
+    def test_matches_neighbors_and_costs(self, tiny_network):
+        src, dst, cost, indptr = tiny_network.cost_snapshot()
+        for v in tiny_network.nodes:
+            row = slice(indptr[v], indptr[v + 1])
+            assert dst[row].tolist() == tiny_network.neighbors(v)
+            assert (src[row] == v).all()
+            assert cost[row].tolist() == [
+                tiny_network.cost(v, u) for u in tiny_network.neighbors(v)
+            ]
+
+    def test_built_once_shared_read_only(self, tiny_network):
+        snapshot = tiny_network.cost_snapshot()
+        assert tiny_network.cost_snapshot() is snapshot
+        for array in snapshot:
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda net: net.set_prr(3, 4, 0.99),
+            lambda net: net.add_link(0, 4, 0.95),
+            lambda net: net.remove_link(1, 2),
+        ],
+        ids=["set_prr", "add_link", "remove_link"],
+    )
+    def test_link_edits_rebuild_it(self, tiny_network, edit):
+        from repro.engine import TreeState
+
+        before = tiny_network.cost_snapshot()
+        edit(tiny_network)
+        after = tiny_network.cost_snapshot()
+        assert after is not before
+        fresh = Network(5)
+        for e in tiny_network.edges():
+            fresh.add_link(e.u, e.v, e.prr)
+        for got, want in zip(after, fresh.cost_snapshot()):
+            assert got.tolist() == want.tolist()
+        # A new TreeState's bulk scan sees the new costs.
+        state = TreeState(tiny_network, {1: 0, 2: 0, 3: 1, 4: 2})
+        child, cand, delta = state.reparent_candidates()
+        assert delta.tolist() == [
+            tiny_network.cost(c, t) - tiny_network.cost(c, state.parent(c))
+            for c, t in zip(child.tolist(), cand.tolist())
+        ]
+
+    def test_path_polish_sees_new_costs(self):
+        from repro.core.local_search import improve_hamiltonian_path
+        from repro.core.tree import AggregationTree
+        from tests.reference_scan import reference_improve_hamiltonian_path
+
+        net = Network(6)
+        for u in range(6):
+            for v in range(u + 1, 6):
+                net.add_link(u, v, 0.99 if v == u + 1 else 0.7)
+        path = AggregationTree(net, {1: 0, 3: 1, 2: 3, 5: 2, 4: 5})
+        first = improve_hamiltonian_path(path)  # builds the snapshot
+        assert first.parents == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
+        for u, v in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)):
+            net.set_prr(u, v, 0.5)
+        net.set_prr(0, 5, 0.99)
+        net.set_prr(5, 3, 0.99)
+        second = improve_hamiltonian_path(path)
+        assert second.parents != first.parents
+        assert second.parents == reference_improve_hamiltonian_path(path).parents
+
+    def test_not_pickled(self, tiny_network):
+        import pickle
+
+        from repro.network.serialization import topology_fingerprint
+
+        plain = pickle.dumps(tiny_network)
+        fingerprint = topology_fingerprint(tiny_network)
+        tiny_network.cost_snapshot()
+        assert pickle.dumps(tiny_network) == plain
+        clone = pickle.loads(plain)
+        assert clone._snapshot is None
+        assert topology_fingerprint(tiny_network) == fingerprint
+        assert topology_fingerprint(clone) == fingerprint
+        for got, want in zip(clone.cost_snapshot(), tiny_network.cost_snapshot()):
+            assert got.tolist() == want.tolist()
