@@ -25,9 +25,12 @@ Guarantees the tests pin:
   registry *names* plus JSON-able params (the same discipline as
   :func:`repro.experiments.parallel.parallel_build`), and results come
   back as plain parent maps that are re-bound to the caller's network, so
-  winner metrics are bitwise identical to an in-process build.  A
-  long-running caller can hand in a borrowed executor (e.g.
-  ``WorkerPool.executor``) instead of paying pool start-up per race.
+  winner metrics are bitwise identical to an in-process build.
+* **Enforced deadlines** — each parallel race owns one
+  :class:`~repro.experiments.parallel.ProcessPool` and kills it when the
+  race ends, so a member still running at the deadline has its worker
+  terminated and joined before the race returns: no child process
+  outlives its race.
 
 Per-member seeds are derived with :func:`repro.utils.rng.stable_hash_seed`
 from the portfolio seed and the member *name*, so they do not depend on
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -92,7 +95,8 @@ class MemberOutcome:
             worker process died (its exception surfaced outside the
             builder wrapper); ``skipped`` means the serial race's budget
             was exhausted before this member started.
-        elapsed_s: Wall-clock build time (0 for skipped members).
+        elapsed_s: Wall-clock build time; for ``timeout`` members the time
+            from race start to the deadline (0 for skipped members).
         tree: The built tree re-bound to the caller's network (``None``
             unless ``status == "ok"``).
         error: ``"ExcType: message"`` for error/crashed members.
@@ -222,7 +226,6 @@ def race_builders(
     member_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
     parallel: Optional[bool] = None,
     n_jobs: Optional[int] = None,
-    executor: Optional[Executor] = None,
 ) -> List[MemberOutcome]:
     """Race *members* on *network*; outcomes come back in member order.
 
@@ -232,20 +235,18 @@ def race_builders(
         lc: Lifetime bound feasibility is judged against; merged into the
             params of members that declare an ``lc`` knob.
         budget_s: Wall-clock budget.  In a parallel race, members still
-            running at the deadline are recorded as ``timeout`` (their
-            worker is abandoned, not joined); in a serial race the budget
-            is checked between members and the remainder is ``skipped``.
+            running at the deadline are recorded as ``timeout`` and the
+            race's pool is killed (hung workers are terminated and joined);
+            in a serial race the budget is checked between members and the
+            remainder is ``skipped``.
         seed: Portfolio seed; member seeds derive from it by name.
         member_params: Per-member config overrides, keyed by member name.
         parallel: Force the execution mode.  Default (``None``): parallel
-            iff a budget or an explicit ``n_jobs``/``executor`` asks for
-            it — a budget is only enforceable mid-build across processes.
+            iff a budget or an explicit ``n_jobs`` asks for it — a budget
+            is only enforceable mid-build across processes.
         n_jobs: Worker process count for the parallel race.  Default: one
             per member — anything less lets a hanging member starve the
             queued ones, which breaks the isolation guarantee.
-        executor: Borrowed process pool (e.g. ``WorkerPool.executor``);
-            not shut down on return.  Note a *thread* pool cannot isolate
-            a hanging member — pass a process pool when budgets matter.
 
     Raises:
         UnknownBuilderError: A member name is not registered.
@@ -259,14 +260,13 @@ def race_builders(
     if n_jobs is not None and n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if parallel is None:
-        parallel = (
-            budget_s is not None or n_jobs is not None or executor is not None
-        )
+        parallel = budget_s is not None or n_jobs is not None
 
-    deadline = None if budget_s is None else time.perf_counter() + budget_s
+    start = time.perf_counter()
+    deadline = None if budget_s is None else start + budget_s
     rows: Dict[str, Tuple[str, Optional[Dict[int, int]], float, Optional[str]]] = {}
     crashed: Dict[str, str] = {}
-    timed_out: List[str] = []
+    timed_out: Dict[str, float] = {}
     skipped: List[str] = []
 
     if not parallel:
@@ -276,14 +276,10 @@ def race_builders(
                 continue
             rows[name] = _race_one(network, name, params)
     else:
-        owns_pool = executor is None
-        if owns_pool:
-            workers = n_jobs if n_jobs is not None else len(members)
-            pool: Executor = ProcessPoolExecutor(
-                max_workers=max(1, min(workers, len(members)))
-            )
-        else:
-            pool = executor
+        from repro.experiments.parallel import ProcessPool
+
+        workers = n_jobs if n_jobs is not None else len(members)
+        pool = ProcessPool(max(1, min(workers, len(members))))
         try:
             futures = {
                 pool.submit(_race_one, network, name, params): name
@@ -309,16 +305,10 @@ def race_builders(
                         crashed[name] = f"{type(exc).__name__}: {exc}"
                     else:
                         rows[name] = fut.result()
-            timed_out = sorted(
-                futures[fut] for fut in pending if futures[fut] not in crashed
-            )
-            for fut in pending:
-                fut.cancel()
+            stopped_s = time.perf_counter() - start
+            timed_out = dict.fromkeys((futures[fut] for fut in pending), stopped_s)
         finally:
-            if owns_pool:
-                # Never block on a hung member: abandon its worker process
-                # (it is reaped at interpreter exit) instead of joining.
-                pool.shutdown(wait=not timed_out, cancel_futures=True)
+            pool.kill()
 
     outcomes: List[MemberOutcome] = []
     for order, name in enumerate(members):
@@ -331,7 +321,11 @@ def race_builders(
                 )
             )
         elif name in timed_out:
-            outcomes.append(MemberOutcome(member=name, order=order, status="timeout"))
+            outcomes.append(
+                MemberOutcome(
+                    member=name, order=order, status="timeout", elapsed_s=timed_out[name]
+                )
+            )
         else:
             outcomes.append(MemberOutcome(member=name, order=order, status="skipped"))
 
@@ -389,7 +383,6 @@ def build_portfolio_tree(
     member_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
     parallel: Optional[bool] = None,
     n_jobs: Optional[int] = None,
-    executor: Optional[Executor] = None,
 ) -> Tuple[AggregationTree, Dict[str, Any]]:
     """Race a member set and return ``(winning tree, portfolio meta)``.
 
@@ -398,7 +391,8 @@ def build_portfolio_tree(
     :func:`select_winner` for the deterministic ranking.  The returned
     meta maps cleanly to JSON: winner name, feasibility, budget, and a
     per-member ``{status, elapsed_s, cost, reliability, lifetime,
-    feasible, error}`` table.
+    feasible, error}`` table (a timed-out member's ``elapsed_s`` runs from
+    race start to the deadline).
     """
     member_list = tuple(members if members is not None else DEFAULT_MEMBERS)
     outcomes = race_builders(
@@ -410,7 +404,6 @@ def build_portfolio_tree(
         member_params=member_params,
         parallel=parallel,
         n_jobs=n_jobs,
-        executor=executor,
     )
     winner = select_winner(outcomes, lc=lc)
     if OBS.enabled:

@@ -13,25 +13,24 @@ Design notes (per the scientific-Python guidance this project follows):
 * chunked map — each worker gets a contiguous block of trial indices to
   amortise process start-up and pickling;
 * the pool is only engaged when the caller asks for it — an explicit
-  ``n_jobs > 1`` is always honoured (it used to be silently demoted to the
-  serial path below a size threshold); :data:`MIN_ITEMS_FOR_POOL` remains
-  the published guidance for callers deciding whether a sweep is big
-  enough to be worth forking for;
-* long-running callers can pass a pre-created ``executor`` — the serving
-  layer (:mod:`repro.serve`) dispatches many small batches and must not
-  pay fork+import per batch, so both entry points accept an existing
-  :class:`concurrent.futures.Executor` and leave its lifecycle to the
-  owner (no ``shutdown`` on exit).
+  ``n_jobs > 1`` is always honoured, however few the items;
+* :class:`ProcessPool` is the project's one process pool.  Its owner picks
+  the lifetime — :func:`parallel_map` one per call (forked workers inherit
+  that call's state), the tree server one for its lifetime, a portfolio
+  race one per race — and ends it with :meth:`ProcessPool.close` or, when
+  work is hung past a deadline, :meth:`ProcessPool.kill`.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from concurrent.futures import Future, ProcessPoolExecutor
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Sequence, Tuple, TypeVar
 
 __all__ = [
     "ParallelBuildError",
+    "ProcessPool",
     "default_workers",
     "parallel_build",
     "parallel_map",
@@ -65,12 +64,46 @@ class ParallelBuildError(RuntimeError):
             f"{self.detail}"
         )
 
-#: Advisory pool threshold: below this many items the fork+import cost
-#: typically dwarfs the work, so callers picking a worker count themselves
-#: should prefer ``n_jobs=None`` (serial).  :func:`parallel_map` no longer
-#: applies it to an *explicit* ``n_jobs > 1`` — the caller knows their
-#: per-item cost better than a global constant does.
-MIN_ITEMS_FOR_POOL = 8
+
+class ProcessPool:
+    """Worker processes that the owner shuts down or kills.
+
+    A thin owner of one :class:`ProcessPoolExecutor`: work goes in through
+    :meth:`submit`/:meth:`map`, and the pool ends with :meth:`close` (let
+    running work finish) or :meth:`kill` (terminate it now).  Used as a
+    context manager it closes on exit.
+    """
+
+    def __init__(self, n_workers: int) -> None:
+        self._executor = ProcessPoolExecutor(max_workers=n_workers)
+
+    def submit(self, fn: Callable[..., T], /, *args: Any) -> Future[T]:
+        return self._executor.submit(fn, *args)
+
+    def map(self, fn: Callable[..., T], items: Iterable[Any]) -> Iterator[T]:
+        return self._executor.map(fn, items)
+
+    def close(self) -> None:
+        """Shut down after the submitted work finishes."""
+        self._executor.shutdown(wait=True)
+
+    def kill(self) -> None:
+        """Terminate and join every live worker, then shut down at once.
+
+        Work still running is lost; its futures fail or stay pending.
+        """
+        workers = list((self._executor._processes or {}).values())
+        for proc in workers:
+            proc.terminate()
+        for proc in workers:
+            proc.join()
+        self._executor.shutdown(wait=False, cancel_futures=True)
+
+    def __enter__(self) -> ProcessPool:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 def default_workers() -> int:
@@ -107,7 +140,6 @@ def parallel_build(
     config: Optional[Dict[str, Any]] = None,
     n_jobs: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    executor: Optional[Executor] = None,
 ) -> List[Any]:
     """Run one registry builder over ``n_trials`` independent networks.
 
@@ -117,9 +149,6 @@ def parallel_build(
     index alone (derive seeds from ``i``), which makes the sweep
     schedule-independent exactly like :func:`parallel_map`.
 
-    ``executor`` reuses a caller-owned worker pool (see
-    :func:`parallel_map`) instead of spawning one per call.
-
     Returns the :class:`repro.engine.BuildResult` list in trial order.
     """
     from functools import partial
@@ -128,9 +157,7 @@ def parallel_build(
 
     get_builder(builder)  # fail fast on unknown names before forking
     func = partial(_build_indexed, builder, network_factory, dict(config or {}))
-    return parallel_map(
-        func, n_trials, n_jobs=n_jobs, chunk_size=chunk_size, executor=executor
-    )
+    return parallel_map(func, n_trials, n_jobs=n_jobs, chunk_size=chunk_size)
 
 
 def parallel_map(
@@ -139,7 +166,6 @@ def parallel_map(
     *,
     n_jobs: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    executor: Optional[Executor] = None,
 ) -> List[T]:
     """Evaluate ``[func(0), ..., func(n_items - 1)]``, possibly in parallel.
 
@@ -151,20 +177,8 @@ def parallel_map(
         n_jobs: Process count; ``None`` or ``1`` runs serially (``None``
             stays serial to keep the default path dependency-free;
             pass ``default_workers()`` to use all cores).  An explicit
-            ``n_jobs > 1`` always engages the pool — the
-            :data:`MIN_ITEMS_FOR_POOL` heuristic only applies when the
-            caller left the decision to this function.  (It used to apply
-            unconditionally, silently running serially for small sweeps the
-            caller explicitly asked to parallelise — e.g. few trials that
-            are each expensive.)
+            ``n_jobs > 1`` always engages a pool, created for this call.
         chunk_size: Items per worker task (default: balanced blocks).
-        executor: Pre-created worker pool to submit blocks to.  The pool is
-            *borrowed*: it is not shut down on return, so a long-running
-            caller (the tree server, a sweep loop) pays process start-up
-            once and reuses the same workers across many calls.  With an
-            executor, ``n_jobs`` only sizes the chunking (default
-            :func:`default_workers`); the executor's own worker count
-            bounds actual parallelism.
 
     Returns results in index order, identical to the serial evaluation.
     """
@@ -179,10 +193,10 @@ def parallel_map(
         # "range() arg 3 must not be zero" from the block splitter.
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
 
-    if executor is None and (n_jobs is None or n_jobs == 1):
+    if n_jobs is None or n_jobs == 1:
         return [func(i) for i in range(n_items)]
 
-    workers = min(n_jobs if n_jobs is not None else default_workers(), n_items)
+    workers = min(n_jobs, n_items)
     if chunk_size is None:
         chunk_size = max(1, (n_items + workers - 1) // workers)
     blocks = [
@@ -191,11 +205,7 @@ def parallel_map(
     ]
     tasks = [(func, block) for block in blocks]
     results: List[T] = []
-    if executor is not None:
-        for block_result in executor.map(_run_block, tasks):
-            results.extend(block_result)
-        return results
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPool(workers) as pool:
         for block_result in pool.map(_run_block, tasks):
             results.extend(block_result)
     return results

@@ -9,16 +9,14 @@ Three modes, one async-facing API (:meth:`WorkerPool.run_shard`):
   event loop stays responsive while a build computes; CPU parallelism is
   still GIL-bound, so this mode is for latency, not throughput.
 * ``process`` — shards are shipped to a shared
-  :class:`ProcessPoolExecutor` (the sharded, "as fast as the hardware
-  allows" mode).  Work items travel as ``(key, builder, params)`` triples
-  next to the topology's pickled payload; each worker process keeps a
-  fingerprint-keyed decode memo so a hot topology is unpickled once per
-  worker, not once per shard.
+  :class:`~repro.experiments.parallel.ProcessPool` (the sharded, "as fast
+  as the hardware allows" mode).  Work items travel as ``(key, builder,
+  params)`` triples next to the topology's pickled payload; each worker
+  process keeps a fingerprint-keyed decode memo so a hot topology is
+  unpickled once per worker, not once per shard.
 
-The executor is created once and reused for the server's lifetime — the
-same discipline :func:`repro.experiments.parallel.parallel_map` supports
-via its ``executor`` argument, and :attr:`WorkerPool.executor` exposes the
-underlying pool so sweep code can share the very same workers.
+The thread or process pool is created once and reused for the server's
+lifetime, so a stream of small batches pays worker start-up once.
 
 Worker-side results cross the process boundary as plain parent maps plus
 meta dicts; the server re-binds them to its own ``Network`` object, which
@@ -44,13 +42,13 @@ import pickle
 import time
 import traceback
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.tree import AggregationTree
 from repro.engine import BuildResult, build_tree
-from repro.experiments.parallel import default_workers
+from repro.experiments.parallel import ProcessPool, default_workers
 from repro.network.model import Network
 from repro.obs.spanctx import SpanContext
 from repro.serve.cache import WarmStructures
@@ -196,7 +194,7 @@ def _build_shard_remote(
 
 
 class WorkerPool:
-    """A reusable executor with an async shard-execution front end."""
+    """A reusable worker pool with an async shard-execution front end."""
 
     def __init__(
         self, mode: str = "inline", n_workers: Optional[int] = None
@@ -211,22 +209,13 @@ class WorkerPool:
         self.n_workers = (
             1 if mode == "inline" else (n_workers or default_workers())
         )
-        self._executor: Optional[Executor] = None
+        self._executor: Union[None, ThreadPoolExecutor, ProcessPool] = None
         if mode == "thread":
             self._executor = ThreadPoolExecutor(
                 max_workers=self.n_workers, thread_name_prefix="repro-serve"
             )
         elif mode == "process":
-            self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
-
-    @property
-    def executor(self) -> Optional[Executor]:
-        """The long-lived executor (``None`` in inline mode).
-
-        Exposed so other layers reuse the same workers, e.g.
-        ``parallel_map(..., executor=pool.executor)``.
-        """
-        return self._executor
+            self._executor = ProcessPool(self.n_workers)
 
     @property
     def parallelism(self) -> int:
@@ -241,24 +230,18 @@ class WorkerPool:
             return []
         if self.mode == "inline":
             return _build_shard_local(warm.network, items)
-        loop = asyncio.get_running_loop()
         if self.mode == "thread":
-            return await loop.run_in_executor(
-                self._executor,
-                _build_shard_local,
-                warm.network,
-                list(items),
+            return await asyncio.wrap_future(
+                self._executor.submit(_build_shard_local, warm.network, list(items))
             )
         wire_items = [
             (item.key, item.builder, dict(item.params), item.span)
             for item in items
         ]
-        rows = await loop.run_in_executor(
-            self._executor,
-            _build_shard_remote,
-            warm.fingerprint,
-            warm.payload(),
-            wire_items,
+        rows = await asyncio.wrap_future(
+            self._executor.submit(
+                _build_shard_remote, warm.fingerprint, warm.payload(), wire_items
+            )
         )
         outcomes: List[ShardOutcome] = []
         by_key = {item.key: item for item in items}
@@ -287,10 +270,12 @@ class WorkerPool:
         return outcomes
 
     def close(self) -> None:
-        """Shut the executor down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Shut the workers down (idempotent)."""
+        executor, self._executor = self._executor, None
+        if isinstance(executor, ProcessPool):
+            executor.close()
+        elif executor is not None:
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -143,6 +143,20 @@ class TestRep110RngBoundary:
         assert set(rule_ids(findings)) == {"REP110"}
         assert "spawn_rngs" in findings[0].message
 
+    def test_live_rng_through_process_pool_submit_fires(self, tmp_path):
+        findings = lint_sources(tmp_path, {
+            "repro/mod.py": (
+                "from repro.experiments.parallel import ProcessPool\n"
+                "def task(r):\n"
+                "    pass\n"
+                "def run(rng):\n"
+                "    with ProcessPool(2) as pool:\n"
+                "        pool.submit(task, rng).result()\n"
+            ),
+        }, select=["REP110"])
+        assert set(rule_ids(findings)) == {"REP110"}
+        assert "pool.submit() boundary" in findings[0].message
+
     def test_lambda_closing_over_rng_fires(self, tmp_path):
         findings = lint_sources(tmp_path, {
             "repro/mod.py": (

@@ -1,14 +1,16 @@
 """Tests for repro.experiments.parallel."""
 
 import math
+import multiprocessing
 import os
+import time
 
 import pytest
 
 from repro.experiments.fig8_same_energy import run_fig8
 from repro.experiments.parallel import (
-    MIN_ITEMS_FOR_POOL,
     ParallelBuildError,
+    ProcessPool,
     default_workers,
     parallel_build,
     parallel_map,
@@ -47,16 +49,16 @@ class TestParallelMap:
 
     def test_explicit_n_jobs_engages_pool_below_threshold(self):
         # Regression: an explicit n_jobs > 1 used to be silently demoted to
-        # the serial path when n_items < MIN_ITEMS_FOR_POOL.  Worker pids
-        # prove real subprocesses ran even for a tiny item count.
-        n_items = MIN_ITEMS_FOR_POOL - 1
+        # the serial path below 8 items.  Worker pids prove real
+        # subprocesses ran even for a tiny item count.
+        n_items = 7
         pids = parallel_map(_worker_pid, n_items, n_jobs=2)
         assert len(pids) == n_items
         assert os.getpid() not in pids
 
     def test_default_n_jobs_stays_serial(self):
         # n_jobs=None is the dependency-free default: same process, no pool.
-        pids = parallel_map(_worker_pid, MIN_ITEMS_FOR_POOL + 2)
+        pids = parallel_map(_worker_pid, 10)
         assert set(pids) == {os.getpid()}
 
     def test_chunking_preserves_order(self):
@@ -122,46 +124,13 @@ class TestParallelExperiments:
         assert [t.lc for t in serial.trials] == [t.lc for t in parallel.trials]
 
 
-class TestExecutorReuse:
-    """A caller-owned pool amortizes worker startup across many sweeps."""
-
-    def test_borrowed_executor_matches_serial(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        serial = parallel_map(_square, 40, n_jobs=1)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            first = parallel_map(_square, 40, executor=pool)
-            second = parallel_map(_square, 40, executor=pool)
-            # The pool must survive both calls (borrowed, never shut down).
-            assert pool.submit(_square, 6).result() == 36
-        assert first == serial
-        assert second == serial
-
-    def test_borrowed_executor_actually_runs_in_workers(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pids = parallel_map(_worker_pid, MIN_ITEMS_FOR_POOL + 2, executor=pool)
-        assert os.getpid() not in pids
-
-    def test_executor_with_small_input_still_uses_pool(self):
-        # An explicit executor overrides the serial-below-threshold shortcut.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pids = parallel_map(_worker_pid, 3, executor=pool)
-        assert len(pids) == 3
-        assert os.getpid() not in pids
-
-    def test_parallel_build_accepts_executor(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.experiments.parallel import parallel_build
-
-        serial = parallel_build("mst", _trial_network, 4, n_jobs=1)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled = parallel_build("mst", _trial_network, 4, executor=pool)
-        assert [r.tree.parents for r in pooled] == [
-            r.tree.parents for r in serial
-        ]
-        assert [r.cost for r in pooled] == [r.cost for r in serial]
+class TestProcessPool:
+    def test_kill_ends_a_hung_task_promptly(self):
+        before = len(multiprocessing.active_children())
+        pool = ProcessPool(2)
+        pool.submit(time.sleep, 60)
+        time.sleep(0.2)  # let a worker pick the task up
+        start = time.perf_counter()
+        pool.kill()
+        assert time.perf_counter() - start < 5.0
+        assert len(multiprocessing.active_children()) == before

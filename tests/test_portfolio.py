@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +220,8 @@ class TestParallelRace:
         assert by_name[crashing_builder].status == "error"
         assert "portfolio test crash" in by_name[crashing_builder].error
         assert by_name[sleeping_builder].status == "timeout"
+        # A timed-out member ran from race start to the deadline.
+        assert by_name[sleeping_builder].elapsed_s >= 2.0
         # The race returns at the budget, not at the sleeper's leisure.
         assert elapsed < 10.0
 
@@ -231,6 +238,46 @@ class TestParallelRace:
         solo_winner = select_winner(survivors)
         assert raced_winner.member == solo_winner.member
         assert raced_winner.tree == solo_winner.tree  # bitwise parent equality
+
+    def test_timed_out_race_leaves_no_live_children(self, net, sleeping_builder):
+        before = len(multiprocessing.active_children())
+        outcomes = race_builders(net, ("mst", sleeping_builder), budget_s=0.5)
+        assert [o.status for o in outcomes] == ["ok", "timeout"]
+        assert len(multiprocessing.active_children()) == before
+
+    def test_interpreter_exit_does_not_wait_on_hung_members(self):
+        script = textwrap.dedent(
+            """
+            import time
+            from repro.engine.portfolio import race_builders
+            from repro.engine.registry import tree_builder
+            from repro.network.topology import random_graph
+
+            @tree_builder("_pf_long_sleeper", knobs={})
+            def _sleeper(network):
+                time.sleep(60)
+
+            net = random_graph(12, 0.5, seed=1)
+            for _ in range(3):
+                outcomes = race_builders(
+                    net, ("mst", "_pf_long_sleeper"), budget_s=0.5
+                )
+                assert [o.status for o in outcomes] == ["ok", "timeout"]
+            """
+        )
+        src = str(Path(registry_module.__file__).parents[2])
+        env = dict(os.environ, PYTHONPATH=src)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        wall = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert wall < 10.0
 
     def test_serial_and_parallel_pick_identical_winners(self, net):
         lc = 0.5 * build_tree("aaml", net).lifetime
@@ -337,6 +384,33 @@ class TestServeIntegration:
         assert second.cache_info.hit and second.cache_info.source == "result"
         assert first.signature() == second.signature()
         assert "winner" in first.metrics
+
+    @fork_only
+    def test_hanging_member_soak_keeps_child_count(self, sleeping_builder):
+        from repro.serve.request import BuildRequest
+        from repro.serve.server import TreeServer
+        from repro.serve.workers import WorkerPool
+
+        async def run():
+            counts = []
+            async with TreeServer(pool=WorkerPool(mode="inline")) as server:
+                for seed in range(5):
+                    response = await server.submit(
+                        BuildRequest(
+                            builder="portfolio",
+                            network=random_graph(12, 0.5, seed=400 + seed),
+                            params={
+                                "members": ["mst", sleeping_builder],
+                                "budget_s": 0.3,
+                            },
+                        )
+                    )
+                    assert response.cache_info.source == "built"
+                    counts.append(len(multiprocessing.active_children()))
+            return counts
+
+        before = len(multiprocessing.active_children())
+        assert asyncio.run(run()) == [before] * 5
 
     def test_new_baselines_served(self, net):
         from repro.serve.request import BuildRequest
